@@ -3,29 +3,17 @@
 //! graphs and full process-state snapshots from 64 KB to 8 MB, plus the
 //! monolithic-vs-pipelined chunk-stream comparison.
 //!
-//! This file is also registered as a `[[test]]` target so the modeled
-//! pipelined-beats-serial property is asserted by `cargo test`, not
-//! only eyeballed from bench output.
+//! The modeled pipelined-beats-serial property is asserted by
+//! `tests/state_transfer_modeled.rs` under `cargo test`.
 
+mod common;
+
+use common::padded_state;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snow_codec::Value;
-use snow_state::{collect_chunks, ExecState, MemoryGraph, PipelineConfig, ProcessState};
+use snow_state::{collect_chunks, MemoryGraph, PipelineConfig, ProcessState};
 
 const SIZES: [usize; 4] = [64 << 10, 512 << 10, 2 << 20, 8 << 20];
-
-fn padded_state(bytes: usize) -> ProcessState {
-    let exec = ExecState::at_entry()
-        .enter("kernelMG")
-        .with_local("iteration", Value::U64(2));
-    let mut mem = MemoryGraph::new();
-    // A linked structure plus a dense payload, like a real heap.
-    let arr = mem.add_node(Value::F64Array(vec![1.5; 4096]));
-    let hdr = mem.add_node(Value::Str("grid".into()));
-    mem.add_edge(hdr, 0, arr);
-    let mut s = ProcessState::new(exec, mem);
-    s.pad_to(bytes);
-    s
-}
 
 fn bench_collect_restore(c: &mut Criterion) {
     let mut g = c.benchmark_group("state");
@@ -124,96 +112,4 @@ criterion_group!(
     bench_value_roundtrip,
     bench_pipeline
 );
-// Under the libtest harness (the [[test]] registration of this file)
-// the generated harness main takes over and this one is dead code.
 criterion_main!(benches);
-
-// Module-level `use` would count as unused in the bench build (where
-// the `#[test]` items are stripped), so each test imports locally.
-#[cfg(test)]
-mod tests {
-    /// With >= 4 workers on a bandwidth-limited 10 Mbit link, the
-    /// pipelined modeled total is strictly below the serial
-    /// Collect + Tx + Restore sum for a realistically chunked
-    /// paper-scale state.
-    #[test]
-    fn pipelined_modeled_total_beats_serial_sum() {
-        use super::*;
-        use snow_net::LinkModel;
-        use snow_state::{pipelined_makespan, StateCostModel};
-        use snow_vm::HostSpec;
-
-        let state = padded_state(2 << 20);
-        let cfg = PipelineConfig {
-            chunk_bytes: 256 * 1024,
-            workers: 4,
-            queue_depth: 8,
-        };
-        let (chunks, _) = collect_chunks(&state, &cfg);
-        assert!(chunks.len() >= 8, "want many chunks, got {}", chunks.len());
-
-        let cost = StateCostModel::PAPER;
-        let src = HostSpec::dec5000().speed;
-        let dst = HostSpec::ultra5().speed;
-        let link = LinkModel::ETHERNET_10M;
-        let collect: Vec<f64> = chunks
-            .iter()
-            .map(|c| cost.collect_seconds(c.bytes.len(), src))
-            .collect();
-        let tx: Vec<f64> = chunks
-            .iter()
-            .map(|c| link.transfer_seconds(c.bytes.len()))
-            .collect();
-        let restore: Vec<f64> = chunks
-            .iter()
-            .map(|c| cost.restore_seconds(c.bytes.len(), dst))
-            .collect();
-
-        let serial: f64 =
-            collect.iter().sum::<f64>() + tx.iter().sum::<f64>() + restore.iter().sum::<f64>();
-        let pipelined = pipelined_makespan(&collect, &tx, &restore, 4);
-        assert!(
-            pipelined < serial,
-            "pipelined {pipelined} must beat serial {serial}"
-        );
-        // The overlap is substantial: the pipeline hides at least a
-        // fifth of the serial stage sum on this link, and never beats
-        // the wire itself (tx is the FIFO bottleneck).
-        let wire: f64 = tx.iter().sum();
-        assert!(
-            pipelined >= wire,
-            "cannot beat the wire: {pipelined} vs {wire}"
-        );
-        assert!(
-            pipelined < 0.8 * serial,
-            "overlap too small: {pipelined} vs serial {serial}"
-        );
-    }
-
-    /// The chunked encoders produce exactly the monolithic bytes — the
-    /// bench above compares equal work.
-    #[test]
-    fn bench_inputs_agree() {
-        use super::*;
-
-        let state = padded_state(512 << 10);
-        let mono = state.collect();
-        for workers in [1usize, 4] {
-            let cfg = PipelineConfig {
-                chunk_bytes: 256 * 1024,
-                workers,
-                queue_depth: 8,
-            };
-            let (chunks, summary) = collect_chunks(&state, &cfg);
-            let concat: Vec<u8> = chunks
-                .iter()
-                .flat_map(|c| c.bytes.iter().copied())
-                .collect();
-            assert_eq!(&concat[..], &mono[8..]);
-            assert_eq!(
-                summary.digest,
-                u64::from_be_bytes(mono[..8].try_into().unwrap())
-            );
-        }
-    }
-}

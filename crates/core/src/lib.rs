@@ -19,7 +19,7 @@
 //! | paper | here |
 //! |---|---|
 //! | Fig 2 `send` | [`SnowProcess::send`] |
-//! | Fig 3 `connect` | `connect` (internal to [`SnowProcess::send`]) |
+//! | Fig 3 `connect` | [`SnowProcess::connect_step`], driven by [`SnowProcess::send`] and [`SnowProcess::try_send`] |
 //! | Fig 4 `recv` | [`SnowProcess::recv`] + the received-message-list [`Rml`] |
 //! | Fig 5 `migrate` | [`SnowProcess::migrate`] |
 //! | Fig 6 `disconnection_handler` | [`SnowProcess::poll_point`] signal handling |

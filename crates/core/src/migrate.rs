@@ -33,7 +33,8 @@ use snow_state::{
     ChunkedRestorer, PipelineConfig, ProcessState, RestoreTeardown, StateCostModel, StateError,
 };
 use snow_trace::{metrics::MigrationMetrics, metrics::MigrationVerdict, EventKind};
-use snow_vm::wire::{ConnReqMsg, SchedReply, SchedRequest};
+use snow_vm::process::EnvError;
+use snow_vm::wire::{SchedReply, SchedRequest};
 use snow_vm::{Envelope, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Vmid};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -801,10 +802,12 @@ impl SnowProcess {
     }
 
     /// Establish a channel to an explicit vmid (the initialized
-    /// process). Same machinery as `connect()` but addressed by vmid,
-    /// since the PL table still maps our rank to ourselves. Nacks are
-    /// retried with exponential backoff under a time-scaled watchdog
-    /// deadline; a departed destination host fails fast.
+    /// process). Same `conn_req` as [`SnowProcess::connect_step`] but
+    /// addressed by vmid, since the PL table still maps our rank to
+    /// ourselves — so a nack never triggers a lookup. It is retried
+    /// with exponential backoff (1 ms doubling to 64 ms) under a
+    /// time-scaled watchdog deadline; a departed destination host fails
+    /// fast.
     fn connect_to_vmid(&mut self, target: Vmid) -> Result<PostSender<Incoming>, ProtoError> {
         let deadline = Instant::now() + scaled_watchdog(self.cell.time_scale());
         let mut backoff = Duration::from_millis(1);
@@ -813,92 +816,64 @@ impl SnowProcess {
         // stale transfer channel under our rank; clear it so the next
         // grant records cleanly.
         self.cc.remove(&self.rank);
+        // The outstanding request id (re-sent unchanged: the request
+        // and its reply are datagrams an armed fault plan may drop) and
+        // when to send next.
+        let mut req_id = None;
+        let mut due = Instant::now();
         loop {
-            // A destination host that left the environment can never
-            // grant: fail fast instead of burning the whole deadline.
-            if self.cell.shared().host_spec(target.host).is_none() {
-                return Err(ProtoError::Env(snow_vm::process::EnvError::HostGone(
-                    target.host,
-                )));
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(ProtoError::Watchdog("state-transfer connect"));
             }
-            let req_id = self.cell.next_req_id();
-            let req = ConnReqMsg {
-                req_id,
-                from_rank: self.rank,
-                from_vmid: self.cell.vmid(),
-                target,
-                reply: self.cell.reply_sender(),
-                data_to_requester: self.cell.data_sender_to_me(target.host),
-            };
-            self.cell.route_conn_req(req)?;
-            // The request and its reply are datagrams: either may be
-            // dropped by an armed fault plan, so re-send under the same
-            // req_id until the destination answers.
-            let mut next_resend = Instant::now() + CONN_RESEND;
-            loop {
-                let ev = match self.next_event(TICK)? {
-                    Some(ev) => ev,
-                    None => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(ProtoError::Watchdog("state-transfer connect"));
-                        }
-                        if now >= next_resend {
-                            next_resend = now + CONN_RESEND;
-                            let again = ConnReqMsg {
-                                req_id,
-                                from_rank: self.rank,
-                                from_vmid: self.cell.vmid(),
-                                target,
-                                reply: self.cell.reply_sender(),
-                                data_to_requester: self.cell.data_sender_to_me(target.host),
-                            };
-                            self.cell.route_conn_req(again)?;
-                        }
-                        continue;
-                    }
-                };
-                match ev {
-                    Event::Granted { req_id: r, .. } if r == req_id => {
-                        // Do not record this in cc: it is the transfer
-                        // channel, not an application connection. Build
-                        // a dedicated sender from the grant.
-                        // `classify` stored it in cc under our own rank
-                        // (peer_rank == self.rank); pull it back out.
-                        return match self.cc.remove(&self.rank) {
-                            Some(tx) => Ok(tx),
-                            None => Err(ProtoError::Protocol(
-                                "transfer-channel grant carried no channel",
-                            )),
-                        };
-                    }
-                    Event::Nacked { req_id: r } if r == req_id => {
-                        // Initialized process not ready yet (spawn
-                        // race): back off and retry until the scaled
-                        // watchdog gives up.
-                        if Instant::now() >= deadline {
-                            return Err(ProtoError::Watchdog("state-transfer connect"));
-                        }
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_CAP);
-                        break;
-                    }
-                    Event::Granted { peer, .. } if peer == self.rank => {
-                        // Stale grant from a reaped earlier attempt:
-                        // drop the channel it parked so the grant we
-                        // are waiting for records cleanly.
-                        self.cc.remove(&self.rank);
-                    }
-                    Event::StateBatch(returned) => {
-                        // Deposit return from the previous, reaped
-                        // attempt arriving while we connect to the
-                        // replacement.
-                        for env in returned {
-                            self.rml.append(env);
-                        }
-                    }
-                    _ => continue,
+            if now >= due {
+                // A destination host that left the environment can
+                // never grant: fail fast instead of burning the whole
+                // deadline.
+                if self.cell.shared().host_spec(target.host).is_none() {
+                    return Err(ProtoError::Env(EnvError::HostGone(target.host)));
                 }
+                let id = *req_id.get_or_insert_with(|| self.cell.next_req_id());
+                self.route_conn_req(id, target)?;
+                due = now + CONN_RESEND;
+            }
+            let Some(ev) = self.next_event((due - now).min(TICK))? else {
+                continue;
+            };
+            match ev {
+                Event::Granted { req_id: r, .. } if Some(r) == req_id => {
+                    // Do not record this in cc: it is the transfer
+                    // channel, not an application connection.
+                    // `classify` stored it in cc under our own rank
+                    // (peer_rank == self.rank); pull it back out.
+                    return match self.cc.remove(&self.rank) {
+                        Some(tx) => Ok(tx),
+                        None => Err(ProtoError::Protocol(
+                            "transfer-channel grant carried no channel",
+                        )),
+                    };
+                }
+                Event::Nacked { req_id: r } if Some(r) == req_id => {
+                    // Initialized process not ready yet (spawn race):
+                    // a fresh request goes out after the backoff.
+                    req_id = None;
+                    due = Instant::now() + backoff;
+                    backoff = (backoff * 2).min(BACKOFF_CAP);
+                }
+                Event::Granted { peer, .. } if peer == self.rank => {
+                    // Stale grant from a reaped earlier attempt: drop
+                    // the channel it parked so the grant we are waiting
+                    // for records cleanly.
+                    self.cc.remove(&self.rank);
+                }
+                Event::StateBatch(returned) => {
+                    // Deposit return from the previous, reaped attempt
+                    // arriving while we connect to the replacement.
+                    for env in returned {
+                        self.rml.append(env);
+                    }
+                }
+                _ => {}
             }
         }
     }

@@ -15,7 +15,9 @@ use snow_state::{PipelineConfig, StateCostModel};
 use snow_trace::EventKind;
 use snow_vm::process::EnvError;
 use snow_vm::wire::{ConnReqMsg, Ctrl, ExeStatus, SchedReply, SchedRequest};
-use snow_vm::{Envelope, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Tag, Vmid};
+use snow_vm::{
+    Envelope, HostId, Incoming, Payload, PostSender, ProcessCell, Rank, Signal, Tag, Vmid,
+};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -32,12 +34,24 @@ pub(crate) const WATCHDOG: Duration = Duration::from_secs(60);
 /// checks.
 pub(crate) const TICK: Duration = Duration::from_millis(25);
 
-/// How long `connect` waits for a grant/nack before re-sending the
-/// `conn_req` under the same request id. The request and its reply ride
-/// the connectionless datagram service (§2.3), so either leg may be
-/// lost; re-sending is the requester's recovery, and the daemon/target
-/// dedup duplicate requests.
+/// How long a connection attempt waits for a reply before re-sending
+/// its lookup or `conn_req` (under the same request id). Both ride the
+/// connectionless datagram service (§2.3), so either leg may be lost;
+/// re-sending is the requester's recovery, and the daemon/target dedup
+/// duplicate requests.
 pub(crate) const CONN_RESEND: Duration = Duration::from_millis(110);
+
+/// Pacing of the fresh `conn_req` after a *stale* nack — one whose
+/// re-lookup named the nacked vmid again (the target is migrating and
+/// the directory has not committed yet, or it died without telling the
+/// scheduler).
+const STALE_PACE: Duration = Duration::from_millis(2);
+
+/// Consecutive stale nacks after which a connection attempt reports
+/// [`ProtoError::Watchdog`] instead of retrying: a target that nacks
+/// from the same location this long is dead, and peers dying
+/// uncoordinated are outside the paper's failure model.
+const MAX_STALE_NACKS: u32 = 400;
 
 /// The watchdog window stretched for slowed modeled hosts: a
 /// `time_scale` that makes modeled seconds real must also stretch the
@@ -118,27 +132,42 @@ pub(crate) enum Event {
     PeerMigrationAborted,
 }
 
-/// Progress of a cooperative (non-blocking) connection establishment
-/// toward one destination rank: Fig 3 driven one message at a time by
-/// [`SnowProcess::connect_step`] instead of a blocked thread.
+/// Progress of one Fig 3 connection establishment toward a destination
+/// rank. [`SnowProcess::connect_step`] advances it by at most one
+/// outbound message per call; grants, nacks and location replies land
+/// through [`SnowProcess::note_event`].
 #[derive(Debug)]
-enum PendingConn {
-    /// A scheduler lookup for the destination's location is in flight.
-    Lookup {
-        /// When to re-issue the lookup if no reply has landed (either
-        /// leg may ride a lossy datagram link).
-        next_resend: Instant,
-    },
-    /// A `conn_req` is outstanding at `target`.
-    Req {
-        /// The request id we sent (grants/nacks quote it back).
-        req_id: u64,
-        /// The vmid the request was addressed to.
-        target: Vmid,
-        /// When to re-send under the same `req_id` (§2.3: the
-        /// connectionless service may drop either leg).
-        next_resend: Instant,
-    },
+struct PendingConn {
+    phase: Phase,
+    /// When `phase`'s outbound message is (re-)sent: the re-send of a
+    /// lookup or `conn_req` that may have been lost, or the paced retry
+    /// after a stale nack.
+    due: Instant,
+    /// Consecutive nacks whose re-lookup named the nacked vmid again.
+    stale: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// A scheduler lookup is in flight (Fig 3 lines 10–14); `refused`
+    /// says why the previous `conn_req` failed, judged against the
+    /// reply.
+    Lookup { refused: Option<Refusal> },
+    /// A `conn_req` is outstanding at `target` (Fig 3 lines 2–5).
+    Req { req_id: u64, target: Vmid },
+    /// A fresh `conn_req` goes to the cached location (or a lookup
+    /// first, if none is cached) at `due`. A new attempt starts here,
+    /// and a stale nack waits here for its pacing deadline.
+    Retry,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    /// The target's host has left the virtual machine: the requester's
+    /// daemon rejected on its behalf (§3.1).
+    HostGone(HostId),
+    /// The target (or its daemon) nacked the request.
+    Nacked(Vmid),
 }
 
 /// A SNOW application process: the paper's protocol endpoint.
@@ -153,7 +182,7 @@ pub struct SnowProcess {
     pub(crate) rml: Rml,
     /// The `Closed_conn` coordination counter (Fig 6).
     pub(crate) closed_conn: u32,
-    /// In-flight cooperative connection attempts (Fig 3, stepwise).
+    /// In-flight connection attempts (Fig 3), one per destination.
     pending_conn: HashMap<Rank, PendingConn>,
     /// Set once a `migration_request` signal has been intercepted.
     pub(crate) migrate_pending: bool,
@@ -413,155 +442,233 @@ impl SnowProcess {
     }
 
     // ------------------------------------------------------------------
-    // Scheduler consultation (Fig 3 lines 10–14)
+    // connect (Fig 3): one step machine, two drivers
     // ------------------------------------------------------------------
+    //
+    // `connect_step` is the only implementation of Fig 3. It sends at
+    // most one message per call and never waits; `note_event` feeds it
+    // the replies. The cooperative API (`pump` + `connect_step`, used by
+    // `try_send`) lets a bounded worker pool multiplex thousands of
+    // ranks, where a thread parked in a connect would wait for a grant
+    // from a rank no worker is left to step. The blocking `connect`
+    // (used by `send`) drives the same steps, parking on the inbox
+    // between them and adding the watchdog. The nack policy lives in
+    // the step machine, so both drivers get the same bound:
+    // * a gone host whose fresh lookup still names that host is an
+    //   error (`EnvError::HostGone`);
+    // * a nack whose fresh lookup names the nacked vmid again is
+    //   *stale*: the retry is paced by `STALE_PACE` and the attempt
+    //   fails after `MAX_STALE_NACKS` of them in a row;
+    // * a lookup or `conn_req` left unanswered is re-sent after
+    //   `CONN_RESEND`.
 
-    /// Ask the scheduler where `dest` lives, updating the PL cache.
-    /// Errors with [`ProtoError::DestinationTerminated`] when the
-    /// scheduler reports termination.
-    pub(crate) fn consult_scheduler(&mut self, dest: Rank) -> Result<Vmid, ProtoError> {
+    /// Drain every deliverable inbox message without blocking, running
+    /// the shared classifier on each (data → RML, inbound `conn_req` →
+    /// grant, markers → channel close + `Closed_conn`) and feeding
+    /// grants, nacks and scheduler replies into any in-flight
+    /// [`Self::connect_step`] state.
+    pub fn pump(&mut self) -> Result<(), ProtoError> {
+        while let Some(ev) = self.next_event(Duration::ZERO)? {
+            self.note_event(ev)?;
+        }
+        Ok(())
+    }
+
+    /// Resolve one classified event against the in-flight connection
+    /// attempts: the reply half of Fig 3.
+    fn note_event(&mut self, ev: Event) -> Result<(), ProtoError> {
+        match ev {
+            // `classify` already installed pl + cc; the pending attempt
+            // (crossing or our own, Fig 3 lines 6–8) is satisfied.
+            Event::Granted { peer, .. } | Event::InboundConn(peer)
+                if self.cc.contains_key(&peer) =>
+            {
+                self.pending_conn.remove(&peer);
+            }
+            // Fig 3 lines 9–10: a nack invalidates the cached location
+            // and fires a scheduler lookup.
+            Event::Nacked { req_id } => {
+                let nacked = self.pending_conn.iter().find_map(|(d, pc)| match pc.phase {
+                    Phase::Req { req_id: r, target } if r == req_id => Some((*d, target, pc.stale)),
+                    _ => None,
+                });
+                if let Some((dest, target, stale)) = nacked {
+                    self.trace(EventKind::ConnNack { to: dest });
+                    self.pl.remove(&dest);
+                    self.begin_lookup(dest, Some(Refusal::Nacked(target)), stale)?;
+                }
+            }
+            // Fig 3 lines 11–14: report termination, or judge the fresh
+            // location against the refusal that prompted the lookup.
+            Event::Sched(SchedReply::Location {
+                about,
+                status,
+                vmid,
+            }) => {
+                let Some(&PendingConn {
+                    phase: Phase::Lookup { refused },
+                    stale,
+                    ..
+                }) = self.pending_conn.get(&about)
+                else {
+                    return Ok(());
+                };
+                self.pending_conn.remove(&about);
+                let v = match (status, vmid) {
+                    (ExeStatus::Terminated, _) | (_, None) => {
+                        return Err(ProtoError::DestinationTerminated(about))
+                    }
+                    (_, Some(v)) => v,
+                };
+                self.pl.insert(about, v);
+                match refused {
+                    Some(Refusal::HostGone(h)) if v.host == h => {
+                        return Err(ProtoError::Env(EnvError::HostGone(h)))
+                    }
+                    Some(Refusal::Nacked(t)) if v == t => {
+                        if stale + 1 >= MAX_STALE_NACKS {
+                            return Err(ProtoError::Watchdog("connect retries"));
+                        }
+                        self.pending_conn.insert(
+                            about,
+                            PendingConn {
+                                phase: Phase::Retry,
+                                due: Instant::now() + STALE_PACE,
+                                stale: stale + 1,
+                            },
+                        );
+                    }
+                    // A fresh location: the next step sends the
+                    // `conn_req` there.
+                    _ => {}
+                }
+            }
+            Event::Sched(SchedReply::Error { reason })
+                if self
+                    .pending_conn
+                    .values()
+                    .any(|pc| matches!(pc.phase, Phase::Lookup { .. })) =>
+            {
+                return Err(ProtoError::Scheduler(reason))
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Fire (not await) a scheduler lookup for `dest` and record it as
+    /// the pending connect state.
+    fn begin_lookup(
+        &mut self,
+        dest: Rank,
+        refused: Option<Refusal>,
+        stale: u32,
+    ) -> Result<(), ProtoError> {
         self.trace(EventKind::SchedulerConsult { about: dest });
         self.cell.sched_send(SchedRequest::Lookup {
             about: dest,
             reply: self.cell.reply_sender(),
         })?;
-        loop {
-            match self.wait_event("scheduler lookup")? {
-                Event::Sched(SchedReply::Location {
-                    about,
-                    status,
-                    vmid,
-                }) if about == dest => match (status, vmid) {
-                    (ExeStatus::Terminated, _) | (_, None) => {
-                        return Err(ProtoError::DestinationTerminated(dest))
-                    }
-                    (_, Some(v)) => {
-                        self.pl.insert(dest, v);
-                        return Ok(v);
-                    }
-                },
-                Event::Sched(SchedReply::Error { reason }) => {
-                    return Err(ProtoError::Scheduler(reason))
-                }
-                _ => continue,
-            }
-        }
+        self.pending_conn.insert(
+            dest,
+            PendingConn {
+                phase: Phase::Lookup { refused },
+                due: Instant::now() + CONN_RESEND,
+                stale,
+            },
+        );
+        Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // connect (Fig 3)
-    // ------------------------------------------------------------------
+    /// Fig 3 line 2: send `conn_req` `req_id` to `target`, recording it
+    /// as pending; a gone host invalidates the location and falls back
+    /// to a lookup (§3.1 requester-side daemon rejection).
+    fn send_conn_req(
+        &mut self,
+        dest: Rank,
+        req_id: u64,
+        target: Vmid,
+        stale: u32,
+    ) -> Result<(), ProtoError> {
+        self.trace(EventKind::ConnReq { to: dest });
+        if let Err(EnvError::HostGone(h)) = self.route_conn_req(req_id, target) {
+            self.trace(EventKind::ConnNack { to: dest });
+            self.pl.remove(&dest);
+            return self.begin_lookup(dest, Some(Refusal::HostGone(h)), stale);
+        }
+        self.pending_conn.insert(
+            dest,
+            PendingConn {
+                phase: Phase::Req { req_id, target },
+                due: Instant::now() + CONN_RESEND,
+                stale,
+            },
+        );
+        Ok(())
+    }
 
-    /// Establish a connection with `dest` (sender-initiated, §3.1).
-    /// On `conn_nack`, consults the scheduler and retries at the new
-    /// location — the on-demand location update.
+    /// Address one `conn_req` to `target` and route it through the
+    /// daemons (§3.1). Shared by [`Self::connect_step`] and the
+    /// migration's state-transfer connect.
+    pub(crate) fn route_conn_req(&self, req_id: u64, target: Vmid) -> Result<(), EnvError> {
+        self.cell.route_conn_req(ConnReqMsg {
+            req_id,
+            from_rank: self.rank,
+            from_vmid: self.cell.vmid(),
+            target,
+            reply: self.cell.reply_sender(),
+            data_to_requester: self.cell.data_sender_to_me(target.host),
+        })
+    }
+
+    /// One non-blocking step of `connect` (Fig 3): returns `true` once
+    /// `dest` is in the `Connected` set. Each call sends at most one
+    /// message — the `conn_req` (or the lookup that must precede it),
+    /// or the re-send of a stalled one once its deadline has passed.
+    /// Replies arrive through [`Self::pump`]. Fails when the
+    /// destination terminated, when its host left, or when it kept
+    /// nacking from the same location: 400 stale nacks in a row, each
+    /// retry paced 2 ms apart.
+    pub fn connect_step(&mut self, dest: Rank) -> Result<bool, ProtoError> {
+        if self.cc.contains_key(&dest) {
+            self.pending_conn.remove(&dest);
+            return Ok(true);
+        }
+        let (phase, stale) = match self.pending_conn.get(&dest) {
+            Some(pc) if Instant::now() < pc.due => return Ok(false),
+            Some(pc) => (pc.phase, pc.stale),
+            None => (Phase::Retry, 0),
+        };
+        match phase {
+            Phase::Lookup { refused } => self.begin_lookup(dest, refused, stale)?,
+            Phase::Req { req_id, target } => self.send_conn_req(dest, req_id, target, stale)?,
+            Phase::Retry => match self.pl.get(&dest) {
+                Some(&target) => {
+                    let req_id = self.cell.next_req_id();
+                    self.send_conn_req(dest, req_id, target, stale)?;
+                }
+                None => self.begin_lookup(dest, None, stale)?,
+            },
+        }
+        Ok(false)
+    }
+
+    /// Establish a connection with `dest` (sender-initiated, §3.1): the
+    /// blocking driver of [`Self::connect_step`]. Between steps it parks
+    /// on the inbox until the attempt's next deadline (at most
+    /// [`TICK`]), feeding every event through [`Self::note_event`], and
+    /// reports [`ProtoError::Watchdog`] after [`WATCHDOG`].
     pub(crate) fn connect(&mut self, dest: Rank) -> Result<(), ProtoError> {
-        // A nacked request whose re-lookup names the *same* location is
-        // making no progress: the target is dead but the scheduler has
-        // not (yet) heard. Retry briefly, then report instead of
-        // spinning forever — peers dying uncoordinated are outside the
-        // paper's failure model, so this is surfaced, not masked.
-        let mut stale_retries = 0u32;
-        const MAX_STALE_RETRIES: u32 = 400;
-        // Fig 3 line 1: while dest ∉ Connected
-        while !self.cc.contains_key(&dest) {
-            let target = match self.pl.get(&dest) {
-                Some(v) => *v,
-                None => self.consult_scheduler(dest)?,
-            };
-            let req_id = self.cell.next_req_id();
-            let req = ConnReqMsg {
-                req_id,
-                from_rank: self.rank,
-                from_vmid: self.cell.vmid(),
-                target,
-                reply: self.cell.reply_sender(),
-                data_to_requester: self.cell.data_sender_to_me(target.host),
-            };
-            self.trace(EventKind::ConnReq { to: dest });
-            // Fig 3 line 2: send conn_req to pl[dest].
-            if let Err(EnvError::HostGone(h)) = self.cell.route_conn_req(req) {
-                // The target daemon no longer exists: the requester's
-                // daemon rejects on its behalf (§3.1). Re-locate.
-                self.trace(EventKind::ConnNack { to: dest });
-                let fresh = self.consult_scheduler(dest)?;
-                if fresh.host == h {
-                    // The directory still names the departed host: the
-                    // destination is unreachable.
-                    return Err(ProtoError::Env(EnvError::HostGone(h)));
-                }
-                continue;
+        let deadline = Instant::now() + WATCHDOG;
+        while !self.connect_step(dest)? {
+            let now = Instant::now();
+            if now >= deadline {
+                self.pending_conn.remove(&dest);
+                return Err(ProtoError::Watchdog("connect"));
             }
-            // Fig 3 lines 3–15: wait for ack/nack, servicing other
-            // traffic meanwhile. The request or its reply may have been
-            // lost in the datagram service, so re-send periodically
-            // under the same req_id until something comes back.
-            let deadline = Instant::now() + WATCHDOG;
-            let mut next_resend = Instant::now() + CONN_RESEND;
-            'wait: loop {
-                let ev = match self.next_event(TICK)? {
-                    Some(ev) => ev,
-                    None => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            return Err(ProtoError::Watchdog("connect"));
-                        }
-                        if now >= next_resend {
-                            next_resend = now + CONN_RESEND;
-                            let again = ConnReqMsg {
-                                req_id,
-                                from_rank: self.rank,
-                                from_vmid: self.cell.vmid(),
-                                target,
-                                reply: self.cell.reply_sender(),
-                                data_to_requester: self.cell.data_sender_to_me(target.host),
-                            };
-                            self.trace(EventKind::ConnReq { to: dest });
-                            if self.cell.route_conn_req(again).is_err() {
-                                // Host left while we waited: fall out to
-                                // the re-locate path of the outer loop.
-                                break 'wait;
-                            }
-                        }
-                        continue;
-                    }
-                };
-                match ev {
-                    Event::Granted { req_id: r, peer } => {
-                        if r == req_id || peer == dest {
-                            break 'wait;
-                        }
-                    }
-                    Event::Nacked { req_id: r } if r == req_id => {
-                        self.trace(EventKind::ConnNack { to: dest });
-                        // Fig 3 lines 9–14: consult scheduler; retry or
-                        // report termination.
-                        let fresh = self.consult_scheduler(dest)?;
-                        if fresh == target {
-                            stale_retries += 1;
-                            if stale_retries >= MAX_STALE_RETRIES {
-                                return Err(ProtoError::Watchdog("connect retries"));
-                            }
-                            std::thread::sleep(Duration::from_millis(2));
-                        } else {
-                            stale_retries = 0;
-                        }
-                        break 'wait;
-                    }
-                    // Fig 3 lines 6–8: grant crossing requests. If the
-                    // requester was dest itself, Connected now holds it
-                    // and the outer while exits.
-                    Event::InboundConn(peer) => {
-                        if peer == dest || self.cc.contains_key(&dest) {
-                            break 'wait;
-                        }
-                    }
-                    _ => {
-                        if self.cc.contains_key(&dest) {
-                            break 'wait;
-                        }
-                    }
-                }
+            let due = self.pending_conn.get(&dest).map_or(now, |pc| pc.due);
+            if let Some(ev) = self.next_event(due.saturating_duration_since(now).min(TICK))? {
+                self.note_event(ev)?;
             }
         }
         Ok(())
@@ -579,52 +686,69 @@ impl SnowProcess {
         loop {
             // Fig 2 lines 1–3.
             self.connect(dest)?;
-            let env = Envelope {
-                src: self.rank,
-                tag,
-                msg: self.cell.tracer().next_msg_id(),
-                payload: Payload::Data(payload.clone()),
-            };
-            let bytes = env.wire_bytes();
-            // Fig 2 line 4. The timestamp is captured before the post:
-            // the receiver can consume (and trace) the message the
-            // instant it lands, and its RecvDone must sort after our
-            // Send for the log to stay causal. Recording still happens
-            // only on success, so a dead-inbox retry leaves no event.
-            // With tracing off the hot path pays neither the clock read
-            // nor the event construction.
-            let msg = env.msg;
-            let t_send = if self.cell.tracer().is_enabled() {
-                Some(self.cell.tracer().now_ns())
-            } else {
-                None
-            };
-            let tx = self.cc.get(&dest).expect("connected after connect()");
-            match tx.send_classed(Incoming::Data(env), bytes, FrameClass::Data) {
-                Ok(()) => {
-                    if let Some(t_send) = t_send {
-                        self.cell.trace_at(
-                            t_send,
-                            EventKind::Send {
-                                to: dest,
-                                tag,
-                                bytes: payload.len(),
-                                msg,
-                            },
-                        );
-                    }
-                    return Ok(());
-                }
-                Err(_) => {
-                    // The peer's inbox died: it terminated or its
-                    // migration completed and the old process exited.
-                    // Drop the stale channel and re-resolve; the
-                    // scheduler reports Terminated if it is truly gone.
-                    self.cc.remove(&dest);
-                    self.pl.remove(&dest);
-                }
+            if self.post(dest, tag, &payload) {
+                return Ok(());
             }
         }
+    }
+
+    /// Non-blocking send (Fig 2): `Ok(true)` when the message was
+    /// posted to the channel, `Ok(false)` when the connection is still
+    /// being established (nothing was sent — call again later). A
+    /// channel that died because the peer migrated away or terminated
+    /// is dropped and re-resolved on the next call.
+    pub fn try_send(&mut self, dest: Rank, tag: Tag, payload: &Bytes) -> Result<bool, ProtoError> {
+        self.pump()?;
+        Ok(self.connect_step(dest)? && self.post(dest, tag, payload))
+    }
+
+    /// Fig 2 line 4: post one data envelope on the open channel to
+    /// `dest`. Returns `false` when the peer's inbox died (it
+    /// terminated, or its migration completed and the old process
+    /// exited): the stale channel and location are dropped so the next
+    /// connect re-resolves them, and the scheduler reports `Terminated`
+    /// if the peer is truly gone.
+    fn post(&mut self, dest: Rank, tag: Tag, payload: &Bytes) -> bool {
+        let env = Envelope {
+            src: self.rank,
+            tag,
+            msg: self.cell.tracer().next_msg_id(),
+            payload: Payload::Data(payload.clone()),
+        };
+        let bytes = env.wire_bytes();
+        // The timestamp is captured before the post: the receiver can
+        // consume (and trace) the message the instant it lands, and its
+        // RecvDone must sort after our Send for the log to stay causal.
+        // Recording still happens only on success, so a dead-inbox retry
+        // leaves no event. With tracing off the hot path pays neither
+        // the clock read nor the event construction.
+        let msg = env.msg;
+        let t_send = self
+            .cell
+            .tracer()
+            .is_enabled()
+            .then(|| self.cell.tracer().now_ns());
+        let tx = self.cc.get(&dest).expect("post on a connected channel");
+        if tx
+            .send_classed(Incoming::Data(env), bytes, FrameClass::Data)
+            .is_err()
+        {
+            self.cc.remove(&dest);
+            self.pl.remove(&dest);
+            return false;
+        }
+        if let Some(t_send) = t_send {
+            self.cell.trace_at(
+                t_send,
+                EventKind::Send {
+                    to: dest,
+                    tag,
+                    bytes: payload.len(),
+                    msg,
+                },
+            );
+        }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -640,261 +764,17 @@ impl SnowProcess {
         tag: Option<Tag>,
     ) -> Result<(Rank, Tag, Bytes), ProtoError> {
         self.trace(EventKind::RecvStart { from: src, tag });
-        let mut first_check = true;
+        let mut from_rml = true;
         loop {
             // Fig 4 lines 2–4.
-            if let Some(env) = self.rml.take_match(src, tag) {
-                let body = match env.payload {
-                    Payload::Data(b) => b,
-                    _ => unreachable!("only data envelopes enter the RML"),
-                };
-                self.trace(EventKind::RecvDone {
-                    from: env.src,
-                    tag: env.tag,
-                    bytes: body.len(),
-                    msg: env.msg,
-                    from_rml: first_check,
-                });
-                return Ok((env.src, env.tag, body));
+            if let Some(m) = self.take_match(src, tag, from_rml) {
+                return Ok(m);
             }
-            first_check = false;
+            from_rml = false;
             // Fig 4 lines 5–15: get a new data or control message; the
             // shared classifier implements lines 6–14.
-            let _ = self.wait_event("recv")?;
-        }
-    }
-
-    /// Non-blocking probe: is a matching message already buffered or
-    /// deliverable? Drains deliverable inbox traffic into the RML first.
-    pub fn probe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<bool, ProtoError> {
-        while let Some(_ev) = self.next_event(Duration::ZERO)? {}
-        Ok(self
-            .rml
-            .take_match(src, tag)
-            .map(|env| {
-                // Put it back in front: probe must not consume.
-                self.rml.prepend_batch(vec![env]);
-            })
-            .is_some())
-    }
-
-    // ------------------------------------------------------------------
-    // Cooperative (non-blocking) protocol steps
-    // ------------------------------------------------------------------
-    //
-    // The blocking send/recv/connect above park an OS thread per rank —
-    // fine for apps, ruinous for a 10k-rank harness. These entry points
-    // expose the same Fig 2/3/4 state machines one step at a time, so a
-    // bounded worker pool can multiplex thousands of ranks: a blocked
-    // `connect` would otherwise pin its worker waiting for a grant from
-    // a rank the pool has not scheduled, which deadlocks once every
-    // worker is pinned.
-
-    /// Drain every deliverable inbox message without blocking, running
-    /// the shared classifier on each (data → RML, inbound `conn_req` →
-    /// grant, markers → channel close + `Closed_conn`) and feeding
-    /// grants, nacks and scheduler replies into any in-flight
-    /// [`Self::connect_step`] state.
-    pub fn pump(&mut self) -> Result<(), ProtoError> {
-        while let Some(ev) = self.next_event(Duration::ZERO)? {
+            let ev = self.wait_event("recv")?;
             self.note_event(ev)?;
-        }
-        Ok(())
-    }
-
-    /// Resolve one classified event against the cooperative connect
-    /// state (the stepwise analogue of the match arms inside the
-    /// blocking `connect` wait loop).
-    fn note_event(&mut self, ev: Event) -> Result<(), ProtoError> {
-        match ev {
-            // `classify` already installed pl + cc; the pending attempt
-            // (crossing or our own) is satisfied.
-            Event::Granted { peer, .. } | Event::InboundConn(peer)
-                if self.cc.contains_key(&peer) =>
-            {
-                self.pending_conn.remove(&peer);
-            }
-            // Fig 3 lines 9–14, cooperatively: invalidate the cached
-            // location and *fire* the scheduler lookup instead of
-            // awaiting it. A nack during a peer's migration resolves
-            // once the directory names the committed destination.
-            Event::Nacked { req_id } => {
-                let dest = self.pending_conn.iter().find_map(|(d, pc)| match pc {
-                    PendingConn::Req { req_id: r, .. } if *r == req_id => Some(*d),
-                    _ => None,
-                });
-                if let Some(dest) = dest {
-                    self.trace(EventKind::ConnNack { to: dest });
-                    self.pl.remove(&dest);
-                    self.begin_lookup(dest)?;
-                }
-            }
-            Event::Sched(SchedReply::Location {
-                about,
-                status,
-                vmid,
-            }) => {
-                if matches!(
-                    self.pending_conn.get(&about),
-                    Some(PendingConn::Lookup { .. })
-                ) {
-                    match (status, vmid) {
-                        (ExeStatus::Terminated, _) | (_, None) => {
-                            self.pending_conn.remove(&about);
-                            return Err(ProtoError::DestinationTerminated(about));
-                        }
-                        (_, Some(v)) => {
-                            // Fresh location cached; the next
-                            // `connect_step` sends the conn_req there.
-                            self.pl.insert(about, v);
-                            self.pending_conn.remove(&about);
-                        }
-                    }
-                }
-            }
-            Event::Sched(SchedReply::Error { reason }) => {
-                return Err(ProtoError::Scheduler(reason))
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Fire (not await) a scheduler lookup for `dest` and record it as
-    /// the pending connect state.
-    fn begin_lookup(&mut self, dest: Rank) -> Result<(), ProtoError> {
-        self.trace(EventKind::SchedulerConsult { about: dest });
-        self.cell.sched_send(SchedRequest::Lookup {
-            about: dest,
-            reply: self.cell.reply_sender(),
-        })?;
-        self.pending_conn.insert(
-            dest,
-            PendingConn::Lookup {
-                next_resend: Instant::now() + CONN_RESEND,
-            },
-        );
-        Ok(())
-    }
-
-    /// Address and route one `conn_req` to `target`, recording it as
-    /// pending; a gone host invalidates the location and falls back to
-    /// a lookup (§3.1 requester-side daemon rejection).
-    fn send_conn_req(&mut self, dest: Rank, req_id: u64, target: Vmid) -> Result<(), ProtoError> {
-        let req = ConnReqMsg {
-            req_id,
-            from_rank: self.rank,
-            from_vmid: self.cell.vmid(),
-            target,
-            reply: self.cell.reply_sender(),
-            data_to_requester: self.cell.data_sender_to_me(target.host),
-        };
-        self.trace(EventKind::ConnReq { to: dest });
-        if let Err(EnvError::HostGone(_)) = self.cell.route_conn_req(req) {
-            self.trace(EventKind::ConnNack { to: dest });
-            self.pl.remove(&dest);
-            self.begin_lookup(dest)?;
-        } else {
-            self.pending_conn.insert(
-                dest,
-                PendingConn::Req {
-                    req_id,
-                    target,
-                    next_resend: Instant::now() + CONN_RESEND,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// One non-blocking step of `connect` (Fig 3): returns `true` once
-    /// `dest` is in the `Connected` set. Each call advances the state
-    /// machine by at most one outbound message — the conn_req (or the
-    /// lookup that must precede it), or a re-send of a stalled one past
-    /// its pacing deadline. Grants, nacks and location replies arrive
-    /// through [`Self::pump`]. Unlike the blocking `connect` there is
-    /// no stale-retry cap: a harness stepping many ranks paces the
-    /// retry loop naturally, and nacks during a peer's migration are
-    /// expected to persist until the directory commits.
-    pub fn connect_step(&mut self, dest: Rank) -> Result<bool, ProtoError> {
-        if self.cc.contains_key(&dest) {
-            self.pending_conn.remove(&dest);
-            return Ok(true);
-        }
-        let now = Instant::now();
-        match self.pending_conn.get(&dest) {
-            Some(PendingConn::Lookup { next_resend }) => {
-                if now >= *next_resend {
-                    self.begin_lookup(dest)?;
-                }
-            }
-            Some(PendingConn::Req {
-                req_id,
-                target,
-                next_resend,
-            }) => {
-                if now >= *next_resend {
-                    let (req_id, target) = (*req_id, *target);
-                    self.send_conn_req(dest, req_id, target)?;
-                }
-            }
-            None => match self.pl.get(&dest) {
-                Some(v) => {
-                    let target = *v;
-                    let req_id = self.cell.next_req_id();
-                    self.send_conn_req(dest, req_id, target)?;
-                }
-                None => self.begin_lookup(dest)?,
-            },
-        }
-        Ok(self.cc.contains_key(&dest))
-    }
-
-    /// Non-blocking send (Fig 2): `Ok(true)` when the message was
-    /// posted to the channel, `Ok(false)` when the connection is still
-    /// being established (nothing was sent — call again later). A
-    /// channel that died because the peer migrated away or terminated
-    /// is dropped and re-resolved on the next call, like the blocking
-    /// `send`'s retry loop unrolled one step per call.
-    pub fn try_send(&mut self, dest: Rank, tag: Tag, payload: &Bytes) -> Result<bool, ProtoError> {
-        self.pump()?;
-        if !self.connect_step(dest)? {
-            return Ok(false);
-        }
-        let env = Envelope {
-            src: self.rank,
-            tag,
-            msg: self.cell.tracer().next_msg_id(),
-            payload: Payload::Data(payload.clone()),
-        };
-        let bytes = env.wire_bytes();
-        let msg = env.msg;
-        let t_send = if self.cell.tracer().is_enabled() {
-            Some(self.cell.tracer().now_ns())
-        } else {
-            None
-        };
-        let tx = self.cc.get(&dest).expect("connected after connect_step");
-        match tx.send_classed(Incoming::Data(env), bytes, FrameClass::Data) {
-            Ok(()) => {
-                if let Some(t_send) = t_send {
-                    self.cell.trace_at(
-                        t_send,
-                        EventKind::Send {
-                            to: dest,
-                            tag,
-                            bytes: payload.len(),
-                            msg,
-                        },
-                    );
-                }
-                Ok(true)
-            }
-            Err(_) => {
-                self.cc.remove(&dest);
-                self.pl.remove(&dest);
-                Ok(false)
-            }
         }
     }
 
@@ -907,23 +787,43 @@ impl SnowProcess {
         tag: Option<Tag>,
     ) -> Result<Option<(Rank, Tag, Bytes)>, ProtoError> {
         self.pump()?;
-        match self.rml.take_match(src, tag) {
-            Some(env) => {
-                let body = match env.payload {
-                    Payload::Data(b) => b,
-                    _ => unreachable!("only data envelopes enter the RML"),
-                };
-                self.trace(EventKind::RecvDone {
-                    from: env.src,
-                    tag: env.tag,
-                    bytes: body.len(),
-                    msg: env.msg,
-                    from_rml: true,
-                });
-                Ok(Some((env.src, env.tag, body)))
-            }
-            None => Ok(None),
-        }
+        Ok(self.take_match(src, tag, true))
+    }
+
+    /// Non-blocking probe: is a matching message already buffered or
+    /// deliverable? Drains deliverable inbox traffic into the RML first.
+    pub fn probe(&mut self, src: Option<Rank>, tag: Option<Tag>) -> Result<bool, ProtoError> {
+        self.pump()?;
+        Ok(self
+            .rml
+            .take_match(src, tag)
+            .map(|env| {
+                // Put it back in front: probe must not consume.
+                self.rml.prepend_batch(vec![env]);
+            })
+            .is_some())
+    }
+
+    /// Take the first RML match and trace its delivery; `from_rml`
+    /// records whether it was already buffered when the receive began.
+    fn take_match(
+        &mut self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        from_rml: bool,
+    ) -> Option<(Rank, Tag, Bytes)> {
+        let env = self.rml.take_match(src, tag)?;
+        let Payload::Data(body) = env.payload else {
+            unreachable!("only data envelopes enter the RML")
+        };
+        self.trace(EventKind::RecvDone {
+            from: env.src,
+            tag: env.tag,
+            bytes: body.len(),
+            msg: env.msg,
+            from_rml,
+        });
+        Some((env.src, env.tag, body))
     }
 
     // ------------------------------------------------------------------

@@ -425,6 +425,29 @@ mod tests {
     }
 
     #[test]
+    fn fault_verdicts_follow_lanes_not_interleaving() {
+        // Two injectors with the same seed must eat the same per-lane
+        // datagram indices regardless of the global send order.
+        let mk = || FaultInjector::new(77, FaultSpec::none().drops(0.5));
+        let (lane_major, round_robin) = (mk(), mk());
+        let mut a = Vec::new();
+        for lane in 0..4u64 {
+            for i in 0..16u32 {
+                a.push(((lane, i), lane_major.on_datagram(lane)));
+            }
+        }
+        let mut b = Vec::new();
+        for i in 0..16u32 {
+            for lane in 0..4u64 {
+                b.push(((lane, i), round_robin.on_datagram(lane)));
+            }
+        }
+        b.sort_unstable_by_key(|(k, _)| *k);
+        assert_eq!(a, b);
+        assert!(a.iter().any(|(_, v)| *v == DatagramVerdict::Drop));
+    }
+
+    #[test]
     fn different_links_and_incarnations_draw_independent_sequences() {
         let plan = FaultPlan::new(7).rule(LinkSel::Any, FaultSpec::none().jitter(0.5, 1.0));
         let mk = |src, dst, inc| {

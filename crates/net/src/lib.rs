@@ -1,40 +1,31 @@
 //! # snow-net — transport substrate
 //!
-//! Layers 1–2 of the paper's protocol stack (Fig 1): the OS/virtual-machine
-//! communication services that the SNOW protocols are built on. The paper
-//! assumes (§2.3):
+//! Layers 1–2 of the paper's protocol stack (Fig 1): the cost and fault
+//! models beneath the communication services the SNOW protocols are
+//! built on. The services themselves (§2.3: connection-oriented FIFO
+//! channels, connectionless datagrams, ordered signals) live behind
+//! `snow_vm::transport`; this crate supplies what every backend of that
+//! seam shares:
 //!
-//! 1. a **connection-oriented service** — bi-directional FIFO channels
-//!    with no loss and in-order delivery ([`channel`]);
-//! 2. a **connectionless service** — datagram routing between arbitrary
-//!    endpoints through the virtual machine ([`datagram`]);
-//! 3. a **signaling service** — reliable ordered signals (implemented in
-//!    `snow-vm` on top of [`datagram`]).
-//!
-//! Channels between threads are trivially reliable and ordered, so those
-//! guarantees hold by construction. What a thread-backed substrate does
-//! *not* give us is the paper's testbed timing — 10/100 Mbit Ethernet and
-//! hosts of very different speeds — so every link can carry a
-//! [`link::LinkModel`] that (a) accounts *modeled* seconds for the tables
-//! and (b) optionally applies a scaled-down real delay so interleavings
-//! (Fig 13's early-arriving messages) actually happen.
-//!
-//! An adversarial network is modeled by [`fault`]: a seeded, per-link
-//! [`fault::FaultPlan`] injects extra delay, transient partitions and
-//! connection resets on the connection-oriented service and drop/
-//! duplication on the connectionless one — deterministically, so any
-//! failing interleaving replays from its seed.
+//! - [`link`] — a [`link::LinkModel`] per host pair that (a) accounts
+//!   *modeled* seconds for the tables (10/100 Mbit Ethernet, hosts of
+//!   very different speeds) and (b) optionally applies a scaled-down
+//!   real delay ([`link::TimeScale`]) so interleavings such as Fig 13's
+//!   early-arriving messages actually happen;
+//! - [`frame`] — the versioned length-prefixed wire frame the socket
+//!   backend writes and reads;
+//! - [`fault`] — an adversarial network: a seeded, per-link
+//!   [`fault::FaultPlan`] injects extra delay, transient partitions and
+//!   connection resets on the connection-oriented service and drop/
+//!   duplication on the connectionless one — deterministically, so any
+//!   failing interleaving replays from its seed.
 
 #![warn(missing_docs)]
 
-pub mod channel;
-pub mod datagram;
 pub mod fault;
 pub mod frame;
 pub mod link;
 
-pub use channel::{ChannelError, Duplex, RecvTimeout};
-pub use datagram::{EndpointId, Mailbox, Router};
 pub use fault::{DatagramVerdict, FaultInjector, FaultPlan, FaultSpec, FrameClass, LinkSel};
 pub use frame::{
     encode_frame, read_frame, write_frame, BatchWriter, FrameError, FrameKind, FRAME_VERSION,

@@ -14,6 +14,7 @@ mod support;
 use bytes::Bytes;
 use snow::prelude::*;
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 /// After rank 0 migrates away, its source host leaves entirely; a peer
 /// that has never spoken to rank 0 can still reach it (via scheduler
@@ -107,48 +108,73 @@ fn late_joining_host_receives_migrant() {
     comp.join_init_processes();
 }
 
-/// Sending toward a vanished host (left without migration) surfaces a
-/// clean error once the scheduler learns of the termination — the
-/// requester's daemon rejects on behalf of the missing target daemon.
+/// How the target of [`vanished_host_yields_nack_not_hang`] dies
+/// without telling the scheduler.
+#[derive(Debug, Clone, Copy)]
+enum Death {
+    /// Its host leaves the virtual machine (no migration): the
+    /// requester's daemon rejects on behalf of the missing target
+    /// daemon.
+    HostRemoved,
+    /// It exits without `finish` while its host stays: the target
+    /// daemon nacks a vmid it no longer knows, and the lookup keeps
+    /// naming that vmid.
+    ExitedUnannounced,
+}
+
+/// Sending toward a dead target surfaces a clean error — never a hang,
+/// a silent drop, or (cooperatively) an endless `Ok(false)` — on both
+/// drivers of the Fig 3 connect: rank 1 uses the blocking `send`,
+/// rank 2 loops on `try_send`.
 #[test]
 fn vanished_host_yields_nack_not_hang() {
-    let comp = Computation::builder().hosts(HostSpec::ideal(), 3).build();
-    let victim_host = comp.hosts()[1];
-
-    // Rank 1 sends only after the harness has yanked the victim host;
-    // rank 0 lingers (alive, never telling the scheduler it terminated)
-    // until rank 1 has observed the failure.
-    let removed = Arc::new(Barrier::new(2));
-    let removed_app = Arc::clone(&removed);
-    let probed = Arc::new(Barrier::new(2));
-
-    let probed_app = Arc::clone(&probed);
-    let placement = vec![comp.hosts()[1], comp.hosts()[2]];
-    let handles = comp.launch_placed(&placement, move |mut p, _start| match p.rank() {
-        0 => {
-            // Just linger; the host is yanked from under us.
-            probed_app.wait();
+    const BOUND: Duration = Duration::from_secs(15);
+    for death in [Death::HostRemoved, Death::ExitedUnannounced] {
+        let comp = Computation::builder().hosts(HostSpec::ideal(), 3).build();
+        let victim_host = comp.hosts()[1];
+        let placement = [victim_host, comp.hosts()[2], comp.hosts()[2]];
+        let mut procs = comp.launch_cooperative(&placement, |_p, _s| {});
+        let mut coop = procs.pop().unwrap();
+        let mut blocking = procs.pop().unwrap();
+        let victim = procs.pop().unwrap();
+        let victim_vmid = victim.vmid();
+        drop(victim);
+        match death {
+            Death::HostRemoved => comp.vm().remove_host(victim_host),
+            Death::ExitedUnannounced => comp.vm().retire(victim_vmid),
         }
-        1 => {
-            removed_app.wait();
-            // rank 0's host is gone and rank 0 never told the scheduler
-            // it terminated: the lookup still names the dead vmid, so
-            // the outcome must be an error or (if the scheduler already
-            // knows) DestinationTerminated — never a hang or a silent
-            // drop.
-            let r = p.send(0, 1, Bytes::from_static(b"?"));
-            assert!(r.is_err(), "send into a vanished host must fail");
-            probed_app.wait();
-        }
-        _ => unreachable!(),
-    });
 
-    // launch_placed only returns once every rank is registered and
-    // running, so the removal below always races *behind* placement.
-    comp.vm().remove_host(victim_host);
-    removed.wait();
-    for h in handles {
-        h.join().unwrap();
+        let msg = Bytes::from_static(b"?");
+        let t = Instant::now();
+        let r = blocking.send(0, 1, msg.clone());
+        assert!(
+            r.is_err(),
+            "{death:?}: blocking send into a dead target must fail"
+        );
+        assert!(
+            t.elapsed() < BOUND,
+            "{death:?}: blocking send took {:?}",
+            t.elapsed()
+        );
+
+        let t = Instant::now();
+        loop {
+            match coop.try_send(0, 1, &msg) {
+                Err(_) => break,
+                Ok(sent) => assert!(!sent, "{death:?}: try_send delivered to a dead target"),
+            }
+            assert!(
+                t.elapsed() < BOUND,
+                "{death:?}: try_send still Ok(false) after {BOUND:?}"
+            );
+            std::thread::yield_now();
+        }
+
+        for p in [blocking, coop] {
+            let v = p.vmid();
+            p.finish();
+            comp.vm().retire(v);
+        }
+        comp.shutdown();
     }
-    comp.join_init_processes();
 }
