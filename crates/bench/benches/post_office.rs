@@ -4,8 +4,9 @@
 //! * `registry_lookup_1k` — the sharded vmid→address registry under
 //!   concurrent routing threads vs an inline reconstruction of the old
 //!   shape (one global `RwLock<HashMap>`, address cloned out per hit).
-//! * `directory_lookup_1k` — the dense rank-indexed PL table vs the
-//!   BTreeMap `CentralTable` it replaced as the scheduler default.
+//! * `directory_lookup_1k` — the dense rank-indexed PL table vs a
+//!   bench-local `BTreeMap` (the centralized table it replaced as the
+//!   scheduler's PL store).
 //! * `routed_send_1k` — the full send path (directory lookup → registry
 //!   borrow → classed post) with zero-copy `Bytes` payloads vs the
 //!   global-lock + cloned-address + copied-payload baseline.
@@ -17,12 +18,12 @@
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use snow_net::{FrameClass, LinkModel, TimeScale};
-use snow_sched::{CentralTable, Directory, IndexedDirectory, PlEntry};
+use snow_sched::{IndexedDirectory, PlEntry};
 use snow_trace::Tracer;
 use snow_vm::vm::{ProcAddr, Registry};
 use snow_vm::wire::{Envelope, ExeStatus, Incoming, Payload};
 use snow_vm::{HostId, Post, Vmid};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
@@ -132,7 +133,7 @@ fn registry_lookup(c: &mut Criterion) {
 
 fn directory_lookup(c: &mut Criterion) {
     let w = build_world();
-    let mut central = CentralTable::new();
+    let mut central: BTreeMap<usize, PlEntry> = BTreeMap::new();
     for rank in 0..RANKS {
         central.insert(
             rank,
@@ -155,7 +156,7 @@ fn directory_lookup(c: &mut Criterion) {
     g.bench_function("central_btree", |b| {
         b.iter(|| {
             i = (i + 13) % RANKS;
-            black_box(central.lookup(black_box(i)))
+            black_box(central.get(&black_box(i)).copied())
         })
     });
     g.finish();

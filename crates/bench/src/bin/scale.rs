@@ -22,10 +22,10 @@
 //!   cargo run -p snow-bench --bin scale -- --gate BENCH_run.json --baseline BENCH_scale.json
 
 use snow_bench::scale::{
-    emit_document, gate_document, run_flood, run_migration_under_load, validate_document,
-    FloodConfig, GateTolerances, MigrationLoadConfig, ScaleRecord, TransportKind,
+    records_section, run_flood, run_migration_under_load, validate_document, FloodConfig,
+    MigrationLoadConfig, ScaleRecord, LATENCY_GATES, SCHEMA,
 };
-use snow_trace::report::JsonValue;
+use snow_bench::schema::{emit_document, DocCli, TransportKind};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -38,20 +38,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn read_doc(path: &PathBuf) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    JsonValue::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))
-}
-
 fn main() -> ExitCode {
     let mut ranks: Vec<usize> = Vec::new();
     let mut smoke = false;
     let mut out = PathBuf::from("BENCH_scale.json");
-    let mut validate: Option<PathBuf> = None;
-    let mut gate: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut tol = GateTolerances::default();
+    let mut doc_cli = DocCli::default();
     let mut transports: Vec<TransportKind> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -74,78 +65,16 @@ fn main() -> ExitCode {
                 }
             }
             "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            "--validate" => validate = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--gate" => gate = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--baseline" => baseline = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--min-throughput-ratio" => {
-                tol.min_throughput_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--max-latency-ratio" => {
-                tol.max_latency_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    if let Some(path) = validate {
-        let doc = match read_doc(&path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("scale: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_document(&doc) {
-            Ok(()) => {
-                println!("{}: valid snow-bench-scale document", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("scale: {} fails schema: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some(current_path) = gate {
-        let Some(baseline_path) = baseline else {
-            eprintln!("scale: --gate requires --baseline FILE");
-            return ExitCode::FAILURE;
-        };
-        let (current, base) = match (read_doc(&current_path), read_doc(&baseline_path)) {
-            (Ok(c), Ok(b)) => (c, b),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("scale: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = validate_document(&current) {
-            eprintln!("scale: {} fails schema: {e}", current_path.display());
-            return ExitCode::FAILURE;
-        }
-        return match gate_document(&current, &base, tol) {
-            Ok(()) => {
-                println!(
-                    "{}: within tolerance of {}",
-                    current_path.display(),
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(violations) => {
-                for v in &violations {
-                    eprintln!("scale: GATE {v}");
+            flag => {
+                if !doc_cli.take_flag(flag, &mut args) {
+                    usage()
                 }
-                eprintln!("scale: {} regression(s) against baseline", violations.len());
-                ExitCode::FAILURE
             }
-        };
+        }
+    }
+
+    if let Some(code) = doc_cli.run("scale", validate_document, LATENCY_GATES) {
+        return code;
     }
 
     if ranks.is_empty() {
@@ -214,7 +143,7 @@ fn main() -> ExitCode {
         records.push(rec);
     }
 
-    let doc = emit_document(&records, smoke);
+    let doc = emit_document(SCHEMA, smoke, records_section(&records));
     if let Err(e) = validate_document(&doc) {
         eprintln!("scale: emitted document fails its own schema: {e}");
         return ExitCode::FAILURE;

@@ -23,12 +23,11 @@
 //!   cargo run -p snow-bench --bin workload -- --validate BENCH_workload.json
 //!   cargo run -p snow-bench --bin workload -- --gate BENCH_run.json --baseline BENCH_workload.json
 
-use snow_bench::scale::{GateTolerances, TransportKind};
+use snow_bench::schema::{emit_document, DocCli, TransportKind};
 use snow_bench::workload::{
-    emit_document, gate_document, run_ablation, run_workload, validate_document, AblationConfig,
-    SoakConfig, WorkloadRecord,
+    run_ablation, run_workload, sections, validate_document, AblationConfig, SoakConfig,
+    WorkloadRecord, LATENCY_GATES, SCHEMA,
 };
-use snow_trace::report::JsonValue;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -42,12 +41,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn read_doc(path: &PathBuf) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    JsonValue::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))
-}
-
 fn main() -> ExitCode {
     let mut ranks = 256usize;
     let mut smoke = false;
@@ -55,10 +48,7 @@ fn main() -> ExitCode {
     let mut duration_ms: Option<u64> = None;
     let mut twice = false;
     let mut out = PathBuf::from("BENCH_workload.json");
-    let mut validate: Option<PathBuf> = None;
-    let mut gate: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut tol = GateTolerances::default();
+    let mut doc_cli = DocCli::default();
     let mut transports: Vec<TransportKind> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -95,81 +85,16 @@ fn main() -> ExitCode {
                 }
             }
             "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
-            "--validate" => validate = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--gate" => gate = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--baseline" => baseline = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--min-throughput-ratio" => {
-                tol.min_throughput_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--max-latency-ratio" => {
-                tol.max_latency_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    if let Some(path) = validate {
-        let doc = match read_doc(&path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("workload: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_document(&doc) {
-            Ok(()) => {
-                println!("{}: valid snow-bench-workload document", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("workload: {} fails schema: {e}", path.display());
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if let Some(current_path) = gate {
-        let Some(baseline_path) = baseline else {
-            eprintln!("workload: --gate requires --baseline FILE");
-            return ExitCode::FAILURE;
-        };
-        let (current, base) = match (read_doc(&current_path), read_doc(&baseline_path)) {
-            (Ok(c), Ok(b)) => (c, b),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("workload: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = validate_document(&current) {
-            eprintln!("workload: {} fails schema: {e}", current_path.display());
-            return ExitCode::FAILURE;
-        }
-        return match gate_document(&current, &base, tol) {
-            Ok(()) => {
-                println!(
-                    "{}: within tolerance of {}",
-                    current_path.display(),
-                    baseline_path.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(violations) => {
-                for v in &violations {
-                    eprintln!("workload: GATE {v}");
+            flag => {
+                if !doc_cli.take_flag(flag, &mut args) {
+                    usage()
                 }
-                eprintln!(
-                    "workload: {} regression(s) against baseline",
-                    violations.len()
-                );
-                ExitCode::FAILURE
             }
-        };
+        }
+    }
+
+    if let Some(code) = doc_cli.run("workload", validate_document, LATENCY_GATES) {
+        return code;
     }
 
     let explicit_transports = !transports.is_empty();
@@ -257,7 +182,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let doc = emit_document(&records, &ablation, smoke);
+    let doc = emit_document(SCHEMA, smoke, sections(&records, &ablation));
     if let Err(e) = validate_document(&doc) {
         // A deliberately restricted sweep cannot satisfy the
         // both-transports completeness rule; that is fine for ad-hoc

@@ -15,10 +15,21 @@
 //! | `cargo run -p snow-bench --release --bin scale` | BENCH_scale.json: flood + migration-under-load at 256/1k/5k ranks |
 //! | `cargo run -p snow-bench --release --bin workload` | BENCH_workload.json: open-loop soak with phase-sliced latency + quantified §7 ablation under load |
 //! | `cargo bench -p snow-bench` | overhead (A3), state transfer (A4), migration cost vs peers (A2), baseline costs (A1), post-office path |
+//!
+//! | module | holds |
+//! |---|---|
+//! | [`pool`] | the pooled cooperative rank runtime the `scale` ring and the `workload` soak run on |
+//! | [`schema`] | the document schema/gate frame both `BENCH_*.json` documents share, and their `--validate`/`--gate` CLI |
+//! | [`scale`] | flood + migration-under-load scenarios and the `snow-bench-scale/v1` record |
+//! | [`workload`] | open-loop soak, §7 ablation and the `snow-bench-workload/v1` record |
+//! | [`chaos`] | seeded fault-injection scenarios |
+//! | [`hist`] | the log-bucketed latency histogram |
 
 pub mod chaos;
 pub mod hist;
+pub mod pool;
 pub mod scale;
+pub mod schema;
 pub mod workload;
 
 use snow_core::{Computation, MigrationTimings};

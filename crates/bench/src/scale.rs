@@ -30,9 +30,9 @@
 //! of raw samples.
 
 use bytes::Bytes;
-use snow_core::{Computation, MigrationOutcome, SnowProcess, Start};
+use snow_core::{Computation, Start};
 use snow_net::{FrameClass, LinkModel, TimeScale};
-use snow_sched::{Directory, IndexedDirectory, PlEntry};
+use snow_sched::{IndexedDirectory, PlEntry};
 use snow_state::{ExecState, MemoryGraph, ProcessState};
 use snow_trace::report::JsonValue;
 use snow_trace::{audit, EventKind, Tracer};
@@ -43,36 +43,13 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::pool::{
+    default_workers, finish_and_retire, migrate_on_worker, migrate_retrying_once, run_pool, Drive,
+};
+use crate::schema::{validate_records, LatencyGate, TransportKind};
+
 /// Schema tag stamped into every emitted document.
 pub const SCHEMA: &str = "snow-bench-scale/v1";
-
-/// Which [`snow_vm::Transport`] backend a scenario drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// The default in-process substrate (direct registry delivery).
-    InProc,
-    /// Framed localhost-TCP sockets ([`snow_vm::TcpTransport`]).
-    Tcp,
-}
-
-impl TransportKind {
-    /// The name stamped into records and accepted by `--transport`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TransportKind::InProc => "inproc",
-            TransportKind::Tcp => "tcp",
-        }
-    }
-
-    /// Parse a `--transport` argument.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "inproc" => Some(TransportKind::InProc),
-            "tcp" => Some(TransportKind::Tcp),
-            _ => None,
-        }
-    }
-}
 
 pub use crate::hist::LatencyHistogram;
 
@@ -182,99 +159,41 @@ impl ScaleRecord {
     }
 }
 
-/// Wrap records into the full `snow-bench-scale/v1` document.
-pub fn emit_document(records: &[ScaleRecord], smoke: bool) -> JsonValue {
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::Str(SCHEMA.into())),
-        ("created_unix".into(), JsonValue::Num(created as f64)),
-        ("smoke".into(), JsonValue::Bool(smoke)),
-        (
-            "records".into(),
-            JsonValue::Array(records.iter().map(ScaleRecord::to_json).collect()),
-        ),
-    ])
+/// The `records` section of a `snow-bench-scale/v1` document.
+pub fn records_section(records: &[ScaleRecord]) -> Vec<(&'static str, JsonValue)> {
+    vec![(
+        "records",
+        JsonValue::Array(records.iter().map(ScaleRecord::to_json).collect()),
+    )]
 }
 
 /// Validate a parsed `BENCH_scale.json` document against the
-/// `snow-bench-scale/v1` schema: the CI `bench-smoke` gate. Checks the
-/// schema tag, that at least one record of *each* scenario is present,
-/// and that every record carries the required numeric fields
-/// (throughput, both latency quantiles, bytes moved — and a pause for
-/// migration records).
+/// `snow-bench-scale/v1` schema: the CI `bench-smoke` gate. On top of
+/// the shared frame ([`validate_records`]): a record of *each* scenario
+/// is present, every record carries both latency quantiles and its
+/// staged high-water mark, and every migration record a pause and an
+/// explicit §4 audit disposition.
 pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing records array")?;
-    if records.is_empty() {
-        return Err("records array is empty".into());
-    }
     let mut seen_flood = false;
     let mut seen_migration = false;
-    for (i, rec) in records.iter().enumerate() {
-        let ctx = |field: &str| format!("record {i}: bad or missing {field}");
-        let scenario = rec
-            .get("scenario")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("scenario"))?;
+    validate_records(doc, SCHEMA, |r| {
+        let scenario = r.str("scenario")?;
         match scenario {
             "all_pairs_flood" => seen_flood = true,
             "migration_under_load" => seen_migration = true,
-            other => return Err(format!("record {i}: unknown scenario {other:?}")),
+            other => return Err(format!("record {}: unknown scenario {other:?}", r.i)),
         }
-        let num = |field: &str| -> Result<f64, String> {
-            rec.get(field)
-                .and_then(JsonValue::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| ctx(field))
-        };
-        if num("ranks")? < 1.0 {
-            return Err(ctx("ranks"));
-        }
-        if num("msgs")? < 1.0 {
-            return Err(ctx("msgs"));
-        }
-        if num("msgs_per_sec")? <= 0.0 {
-            return Err(ctx("msgs_per_sec"));
-        }
-        num("bytes_moved")?;
-        num("wall_s")?;
-        num("p50_latency_us")?;
-        num("p99_latency_us")?;
-        num("staged_high_water")?;
+        r.num("p50_latency_us")?;
+        r.num("p99_latency_us")?;
+        r.num("staged_high_water")?;
         if scenario == "migration_under_load" {
-            if num("pause_ms").is_err() {
-                return Err(format!("record {i}: migration record without pause_ms"));
+            if r.num("pause_ms").is_err() {
+                return Err(format!("record {}: migration record without pause_ms", r.i));
             }
-            // §4 audit status must be explicit: a verdict, or a stamped
-            // reason the audit was skipped — never both, never neither.
-            let audited = rec
-                .get("audit_clean")
-                .and_then(JsonValue::as_bool)
-                .is_some();
-            let skipped = rec
-                .get("audit_skipped")
-                .and_then(JsonValue::as_str)
-                .is_some_and(|s| !s.is_empty());
-            if audited == skipped {
-                return Err(format!(
-                    "record {i}: migration record needs exactly one of \
-                     audit_clean / audit_skipped"
-                ));
-            }
+            r.audit_disposition()?;
         }
-    }
+        Ok(())
+    })?;
     if !seen_flood {
         return Err("no all_pairs_flood record".into());
     }
@@ -284,118 +203,13 @@ pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// regression gate
-// ---------------------------------------------------------------------
-
-/// Tolerances for [`gate_document`]. Ratios are against the committed
-/// baseline: generous by default because the CI runners' absolute
-/// numbers swing hard with machine load — the gate exists to catch
-/// order-of-magnitude regressions, not single-digit noise.
-#[derive(Debug, Clone, Copy)]
-pub struct GateTolerances {
-    /// Minimum fraction of baseline throughput a record must keep.
-    pub min_throughput_ratio: f64,
-    /// Maximum multiple of baseline p50/p99 latency a record may show.
-    pub max_latency_ratio: f64,
-}
-
-impl Default for GateTolerances {
-    fn default() -> Self {
-        GateTolerances {
-            min_throughput_ratio: 0.2,
-            max_latency_ratio: 5.0,
-        }
-    }
-}
-
-/// Latencies below this floor (microseconds) are never gated: at
-/// single-digit-µs baselines a ratio check only measures scheduler
-/// jitter.
-const GATE_LATENCY_FLOOR_US: f64 = 50.0;
-
-fn gate_key(rec: &JsonValue) -> Option<(String, String, u64)> {
-    let scenario = rec.get("scenario")?.as_str()?.to_string();
-    // Baselines written before the transport field default to inproc.
-    let transport = rec
-        .get("transport")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("inproc")
-        .to_string();
-    let ranks = rec.get("ranks")?.as_f64()? as u64;
-    Some((scenario, transport, ranks))
-}
-
-/// Gate a fresh `BENCH_scale.json` run against the committed baseline:
-/// for every `(scenario, transport, ranks)` pair present in *both*
-/// documents, throughput must not collapse below
-/// `min_throughput_ratio × baseline` and the latency quantiles must not
-/// balloon past `max_latency_ratio × baseline` (sub-50 µs baselines are
-/// exempt from the latency check). At least one common pair is
-/// required. Returns every violation, not just the first.
-pub fn gate_document(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    tol: GateTolerances,
-) -> Result<(), Vec<String>> {
-    let records = |doc: &JsonValue| -> Vec<JsonValue> {
-        doc.get("records")
-            .and_then(JsonValue::as_array)
-            .map(|a| a.to_vec())
-            .unwrap_or_default()
-    };
-    let base_recs = records(baseline);
-    let cur_recs = records(current);
-    let mut compared = 0usize;
-    let mut violations = Vec::new();
-    for cur in &cur_recs {
-        let Some(key) = gate_key(cur) else { continue };
-        let Some(base) = base_recs
-            .iter()
-            .find(|b| gate_key(b).as_ref() == Some(&key))
-        else {
-            continue;
-        };
-        compared += 1;
-        let tag = format!("{}/{}@{}", key.0, key.1, key.2);
-        let num = |rec: &JsonValue, field: &str| rec.get(field).and_then(JsonValue::as_f64);
-        if let (Some(c), Some(b)) = (num(cur, "msgs_per_sec"), num(base, "msgs_per_sec")) {
-            let floor = b * tol.min_throughput_ratio;
-            if c < floor {
-                violations.push(format!(
-                    "{tag}: throughput {c:.0} msgs/s below gate {floor:.0} \
-                     (baseline {b:.0} × {:.2})",
-                    tol.min_throughput_ratio
-                ));
-            }
-        }
-        for q in ["p50_latency_us", "p99_latency_us"] {
-            if let (Some(c), Some(b)) = (num(cur, q), num(base, q)) {
-                let ceil = (b * tol.max_latency_ratio).max(GATE_LATENCY_FLOOR_US);
-                if c > ceil {
-                    violations.push(format!(
-                        "{tag}: {q} {c:.1} above gate {ceil:.1} (baseline {b:.1} × {:.2})",
-                        tol.max_latency_ratio
-                    ));
-                }
-            }
-        }
-        if cur.get("migration_aborted").and_then(JsonValue::as_bool) == Some(true) {
-            violations.push(format!("{tag}: migration aborted after retry"));
-        }
-        if cur.get("audit_clean").and_then(JsonValue::as_bool) == Some(false) {
-            violations.push(format!("{tag}: §4 audit violation"));
-        }
-    }
-    if compared == 0 {
-        violations.push("no (scenario, transport, ranks) pair is common to both documents".into());
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
+/// The latencies the regression gate checks on every scale record
+/// (sub-50 µs baselines are exempt, see
+/// [`crate::schema::gate_records`]).
+pub const LATENCY_GATES: &[LatencyGate] = &[
+    ("p50_latency_us", &["p50_latency_us"]),
+    ("p99_latency_us", &["p99_latency_us"]),
+];
 
 // ---------------------------------------------------------------------
 // scenario 1: all-pairs flood
@@ -448,13 +262,6 @@ impl FloodConfig {
     pub fn msgs_per_pair(&self) -> u64 {
         (self.budget_msgs / (self.ranks as u64 * self.fanout() as u64)).max(1)
     }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get() / 2)
-        .unwrap_or(4)
-        .clamp(2, 8)
 }
 
 /// Cap on in-flight messages: senders stall (spin-yield) while this
@@ -728,27 +535,28 @@ enum RingPhase {
     /// The migrant, parked at its trigger round: pumping peers while it
     /// waits for the scheduler's `migration_request` signal.
     AwaitMigration,
-    /// Finished (ring complete, or migrated away).
-    Done,
 }
 
-/// One ring rank multiplexed onto the worker pool: the per-rank loop of
-/// the old thread-per-rank runner, unrolled into a state machine the
-/// pool advances one non-blocking step at a time.
-struct RingDrive {
-    p: Option<SnowProcess>,
-    rank: usize,
+/// A ring rank's state between worker visits: the per-rank loop of a
+/// thread-per-rank ring, unrolled into a state machine the pool
+/// advances one non-blocking step at a time.
+struct RingRank {
     round: u64,
     phase: RingPhase,
-    /// Abort count of the in-place migration attempts (migrant only).
+    /// Aborted in-place migration attempts (migrant only); the migrant
+    /// stops parking for the request after the second.
     attempts: u32,
-    /// The migrant's trigger fires at most once.
-    migration_resolved: bool,
     local: LatencyHistogram,
 }
 
-/// Shared measurement plumbing the pool workers feed.
-struct RingShared {
+/// The ring's shape plus the measurement plumbing the pool feeds.
+struct Ring {
+    n: usize,
+    rounds: u64,
+    /// The round after which the migrant parks for its migration.
+    trigger: u64,
+    migrant: usize,
+    payload_bytes: usize,
     epoch: Instant,
     hist: Mutex<LatencyHistogram>,
     staged: AtomicU64,
@@ -760,16 +568,31 @@ struct RingShared {
     ready: AtomicU64,
 }
 
+impl Ring {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// A round's payload, stamped with its send time.
+    fn payload(&self) -> Bytes {
+        let mut buf = vec![0u8; self.payload_bytes];
+        buf[..8].copy_from_slice(&self.now_ns().to_le_bytes());
+        Bytes::from(buf)
+    }
+
+    /// The delivery latency of a stamped payload.
+    fn latency(&self, b: &[u8]) -> u64 {
+        let sent = u64::from_le_bytes(b[..8].try_into().unwrap());
+        self.now_ns().saturating_sub(sent)
+    }
+}
+
 /// Run the migration-under-load ring at `cfg.ranks`.
 ///
 /// Ranks are launched cooperatively ([`Computation::launch_cooperative`])
-/// and multiplexed onto `cfg.workers` pool threads — the 10k-rank sweep
-/// entry would need 10k OS threads (plus their stacks) under the old
-/// thread-per-rank model. Ranks are dealt round-robin over the workers,
-/// which guarantees the migrant and its two ring neighbours sit on
-/// three different workers (for `workers ≥ 2` the neighbours never
-/// share the migrant's worker): while the migrant's worker blocks
-/// inside the drain/transfer, the neighbours keep pumping, which is
+/// and multiplexed onto `cfg.workers` pool threads ([`run_pool`]), with
+/// the migrant on a worker of its own: while that worker blocks inside
+/// the drain/transfer, the rest of the ring keeps pumping, which is
 /// exactly what the drain needs to terminate.
 pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
     assert!(cfg.ranks >= 4, "ring needs at least four ranks");
@@ -777,9 +600,6 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
     let n = cfg.ranks;
     let rounds = cfg.rounds;
     let migrant = n / 2;
-    // Migrate once the ring is in steady state, with rounds left after.
-    let trigger = (rounds / 3).max(1);
-    let payload_bytes = cfg.payload_bytes;
 
     let tracer = if cfg.trace {
         Tracer::new()
@@ -796,7 +616,13 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
     let spare = comp.hosts()[cfg.hosts];
     let placement: Vec<HostId> = (0..n).map(|r| comp.hosts()[r % cfg.hosts]).collect();
 
-    let shared = Arc::new(RingShared {
+    let ring = Arc::new(Ring {
+        n,
+        rounds,
+        // Migrate once the ring is in steady state, with rounds left after.
+        trigger: (rounds / 3).max(1),
+        migrant,
+        payload_bytes: cfg.payload_bytes,
         epoch: Instant::now(),
         hist: Mutex::new(LatencyHistogram::new()),
         staged: AtomicU64::new(0),
@@ -806,12 +632,11 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
     // The resumed migrant runs on a scheduler-owned thread, so it keeps
     // the straightforward blocking style: the ring from its restored
     // round to the end.
-    let app_shared = Arc::clone(&shared);
+    let app_ring = Arc::clone(&ring);
     let t0 = Instant::now();
     let procs = comp.launch_cooperative(&placement, move |mut p, start| {
+        let ring = &app_ring;
         let me = p.rank();
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
         let from = match &start {
             Start::Fresh => 0u64,
             Start::Resumed(s) => s
@@ -821,98 +646,44 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
                 .unwrap_or(0),
         };
         let mut local = LatencyHistogram::new();
-        for _round in from..rounds {
-            let mut buf = vec![0u8; payload_bytes];
-            buf[..8].copy_from_slice(&(app_shared.epoch.elapsed().as_nanos() as u64).to_le_bytes());
-            p.send(right, 1, Bytes::from(buf)).unwrap();
-            let (_s, _t, b) = p.recv(Some(left), Some(1)).unwrap();
-            let sent = u64::from_le_bytes(b[..8].try_into().unwrap());
-            local.record((app_shared.epoch.elapsed().as_nanos() as u64).saturating_sub(sent));
+        for _round in from..ring.rounds {
+            p.send((me + 1) % n, 1, ring.payload()).unwrap();
+            let (_s, _t, b) = p.recv(Some((me + n - 1) % n), Some(1)).unwrap();
+            local.record(ring.latency(&b));
         }
-        app_shared
-            .staged
+        ring.staged
             .fetch_add(p.cell().inbox_staged_high_water() as u64, Ordering::Relaxed);
-        app_shared.hist.lock().unwrap().merge(&local);
+        ring.hist.lock().unwrap().merge(&local);
         p.finish();
     });
 
-    let mut drives: Vec<RingDrive> = procs
-        .into_iter()
-        .enumerate()
-        .map(|(rank, p)| RingDrive {
-            p: Some(p),
-            rank,
+    let vm = comp.vm();
+    let (migration_aborted, pause_ms) = run_pool(
+        procs,
+        |_| RingRank {
             round: 0,
             phase: RingPhase::Send,
             attempts: 0,
-            migration_resolved: false,
             local: LatencyHistogram::new(),
-        })
-        .collect();
-
-    let workers = cfg.workers.clamp(2, n);
-    let mut partitions: Vec<Vec<RingDrive>> = (0..workers).map(|_| Vec::new()).collect();
-    for d in drives.drain(..).rev() {
-        partitions[d.rank % workers].push(d);
-    }
-
-    let mut migration_aborted = false;
-    let mut pause_ms = 0.0;
-    std::thread::scope(|s| {
-        for mine in partitions.drain(..) {
-            let shared = Arc::clone(&shared);
-            let vm = comp.vm();
-            s.spawn(move || {
-                let mut mine = mine;
-                loop {
-                    let mut progressed = false;
-                    let mut live = 0usize;
-                    for d in &mut mine {
-                        if matches!(d.phase, RingPhase::Done) {
-                            continue;
-                        }
-                        live += 1;
-                        progressed |= step_ring_rank(
-                            d,
-                            &shared,
-                            vm,
-                            n,
-                            rounds,
-                            trigger,
-                            migrant,
-                            payload_bytes,
-                        );
-                    }
-                    if live == 0 {
-                        break;
-                    }
-                    if !progressed {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-
-        // Main thread, inside the scope: wait for steady state, then
-        // fire the migration while the pool keeps the ring under load.
-        while shared.ready.load(Ordering::Relaxed) < n as u64 {
-            std::thread::yield_now();
-        }
-        let t_pause = Instant::now();
-        // A scheduler-side abort (destination init failure, deadline
-        // sweep) is a legitimate outcome under load: retry once against
-        // the same spare, and report a second abort in the record
-        // instead of panicking the bench run.
-        migration_aborted = match comp.migrate(migrant, spare) {
-            Ok(_) => false,
-            Err(_) => comp.migrate(migrant, spare).is_err(),
-        };
-        pause_ms = t_pause.elapsed().as_secs_f64() * 1_000.0;
-    });
+        },
+        &[migrant],
+        cfg.workers,
+        |d| step_ring_rank(d, &ring, vm),
+        // Wait for steady state, then fire the migration while the pool
+        // keeps the ring under load.
+        || {
+            while ring.ready.load(Ordering::Relaxed) < n as u64 {
+                std::thread::yield_now();
+            }
+            let t_pause = Instant::now();
+            let aborted = migrate_retrying_once(&comp, migrant, spare);
+            (aborted, t_pause.elapsed().as_secs_f64() * 1_000.0)
+        },
+    );
     comp.join_init_processes();
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let hist = shared.hist.lock().unwrap().clone();
+    let hist = ring.hist.lock().unwrap().clone();
     let msgs = hist.count();
     let (pause_trace_ms, audit_clean, audit_skipped) = if cfg.trace {
         let events = tracer.snapshot();
@@ -931,9 +702,8 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
         let report = audit::audit(&events);
         (pause, Some(report.is_clean()), None)
     } else {
-        // Satellite: an untraced run used to emit audit_clean: null and
-        // pause_trace_ms: null with no explanation — stamp the reason
-        // and say so on stderr, so a dropped audit is always visible.
+        // An untraced run stamps the reason and says so on stderr, so a
+        // dropped audit is always visible.
         let reason = "trace disabled at this rank count: per-event tracing cost \
                       would distort the measurement";
         eprintln!(
@@ -949,12 +719,12 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
         transport: cfg.transport.as_str(),
         ranks: n,
         msgs,
-        bytes_moved: msgs * (payload_bytes as u64 + ENVELOPE_OVERHEAD_BYTES as u64),
+        bytes_moved: msgs * (cfg.payload_bytes as u64 + ENVELOPE_OVERHEAD_BYTES as u64),
         wall_s,
         msgs_per_sec: msgs as f64 / wall_s,
         p50_latency_us: hist.quantile_ns(0.50) / 1_000.0,
         p99_latency_us: hist.quantile_ns(0.99) / 1_000.0,
-        staged_high_water: shared.staged.load(Ordering::Relaxed),
+        staged_high_water: ring.staged.load(Ordering::Relaxed),
         fanout: None,
         rounds: Some(rounds),
         pause_ms: Some(pause_ms),
@@ -966,83 +736,53 @@ pub fn run_migration_under_load(cfg: &MigrationLoadConfig) -> ScaleRecord {
 }
 
 /// Advance one ring rank by one cooperative step; returns whether any
-/// progress was made. Mirrors one iteration slice of the old blocking
-/// per-rank loop: send right → recv left → (migrant only) migrate at
-/// the trigger round.
-#[allow(clippy::too_many_arguments)]
-fn step_ring_rank(
-    d: &mut RingDrive,
-    shared: &RingShared,
-    vm: &snow_vm::VirtualMachine,
-    n: usize,
-    rounds: u64,
-    trigger: u64,
-    migrant: usize,
-    payload_bytes: usize,
-) -> bool {
+/// progress was made: send right → recv left → (migrant only) park at
+/// the trigger round and migrate.
+fn step_ring_rank(d: &mut Drive<RingRank>, ring: &Ring, vm: &snow_vm::VirtualMachine) -> bool {
     let me = d.rank;
-    let right = (me + 1) % n;
-    let left = (me + n - 1) % n;
-    match d.phase {
+    let r = &mut d.app;
+    let p = d.p.as_mut().expect("live rank has a process");
+    match r.phase {
         RingPhase::Send => {
             // The migrant parks *before* sending the round after its
-            // trigger, matching the old runner: round `trigger` traffic
-            // completes, then the process waits for the scheduler's
-            // signal so the resumed process restarts at round
-            // `trigger + 1`.
-            if me == migrant && d.round == trigger + 1 && !d.migration_resolved {
-                d.phase = RingPhase::AwaitMigration;
+            // trigger: round `trigger` traffic completes, then the
+            // process waits for the scheduler's signal so the resumed
+            // process restarts at round `trigger + 1`.
+            if me == ring.migrant && r.round == ring.trigger + 1 && r.attempts < 2 {
+                r.phase = RingPhase::AwaitMigration;
                 return true;
             }
-            let p = d.p.as_mut().expect("live rank has a process");
-            let mut buf = vec![0u8; payload_bytes];
-            buf[..8].copy_from_slice(&(shared.epoch.elapsed().as_nanos() as u64).to_le_bytes());
             let sent = p
-                .try_send(right, 1, &Bytes::from(buf))
+                .try_send((me + 1) % ring.n, 1, &ring.payload())
                 .unwrap_or_else(|e| panic!("rank {me}: ring send failed: {e}"));
             if sent {
-                d.phase = RingPhase::Recv;
+                r.phase = RingPhase::Recv;
             }
             sent
         }
         RingPhase::Recv => {
-            let p = d.p.as_mut().expect("live rank has a process");
             let got = p
-                .try_recv(Some(left), Some(1))
+                .try_recv(Some((me + ring.n - 1) % ring.n), Some(1))
                 .unwrap_or_else(|e| panic!("rank {me}: ring recv failed: {e}"));
-            match got {
-                Some((_s, _t, b)) => {
-                    let sent_ns = u64::from_le_bytes(b[..8].try_into().unwrap());
-                    d.local
-                        .record((shared.epoch.elapsed().as_nanos() as u64).saturating_sub(sent_ns));
-                    if d.round == 0 {
-                        shared.ready.fetch_add(1, Ordering::Relaxed);
-                    }
-                    d.round += 1;
-                    if d.round == rounds {
-                        let p = d.p.take().expect("live rank has a process");
-                        shared.staged.fetch_add(
-                            p.cell().inbox_staged_high_water() as u64,
-                            Ordering::Relaxed,
-                        );
-                        shared.hist.lock().unwrap().merge(&d.local);
-                        let vmid = p.vmid();
-                        p.finish();
-                        // The caller-owned epilogue of a cooperative
-                        // rank (launch_placed's threads run this on
-                        // body return).
-                        vm.retire(vmid);
-                        d.phase = RingPhase::Done;
-                    } else {
-                        d.phase = RingPhase::Send;
-                    }
-                    true
-                }
-                None => false,
+            let Some((_s, _t, b)) = got else {
+                return false;
+            };
+            r.local.record(ring.latency(&b));
+            if r.round == 0 {
+                ring.ready.fetch_add(1, Ordering::Relaxed);
             }
+            r.round += 1;
+            if r.round == ring.rounds {
+                ring.staged
+                    .fetch_add(p.cell().inbox_staged_high_water() as u64, Ordering::Relaxed);
+                ring.hist.lock().unwrap().merge(&r.local);
+                finish_and_retire(d.p.take().expect("live rank has a process"), vm);
+            } else {
+                r.phase = RingPhase::Send;
+            }
+            true
         }
         RingPhase::AwaitMigration => {
-            let p = d.p.as_mut().expect("live rank has a process");
             // Keep draining peer traffic (and granting inbound
             // connections) while parked, or the ring stalls harder than
             // the migration pause itself.
@@ -1054,52 +794,41 @@ fn step_ring_rank(
             {
                 return false;
             }
-            // The request is pending: run the blocking migrate on this
-            // worker. Round-robin partitioning keeps both ring
-            // neighbours on other workers, so the drain's
-            // marker/end-of-messages handshake stays live.
-            let p = d.p.take().expect("live rank has a process");
-            let old_vmid = p.vmid();
             let state = ProcessState::new(
-                ExecState::at_entry().with_local("round", snow_codec::Value::U64(d.round)),
+                ExecState::at_entry().with_local("round", snow_codec::Value::U64(r.round)),
                 MemoryGraph::new(),
             );
-            match p
-                .migrate(&state)
-                .unwrap_or_else(|e| panic!("rank {me}: migrate failed: {e}"))
-            {
-                MigrationOutcome::Completed(_) => {
-                    shared.hist.lock().unwrap().merge(&d.local);
-                    // The old incarnation is gone: retire its vmid so
-                    // peers' conn_reqs are nacked into re-lookup
-                    // instead of routed to a dead inbox. The resumed
-                    // process (scheduler-owned thread) finishes the
-                    // ring.
-                    vm.retire(old_vmid);
-                    d.phase = RingPhase::Done;
-                }
-                MigrationOutcome::Aborted(a) => {
-                    // Rolled back in place (same vmid, RML restored).
-                    // The harness retries once, so park again for the
-                    // second request; after that, keep the ring alive
-                    // in place instead of panicking the bench.
-                    d.p = Some(a.process);
-                    d.attempts += 1;
-                    if d.attempts >= 2 {
-                        d.migration_resolved = true;
-                        d.phase = RingPhase::Send;
+            let p = d.p.take().expect("live rank has a process");
+            match migrate_on_worker(p, &state, vm) {
+                None => ring.hist.lock().unwrap().merge(&r.local),
+                // Rolled back in place: park again for the harness's
+                // retry; after that, keep the ring alive in place
+                // instead of panicking the bench.
+                Some(p) => {
+                    d.p = Some(p);
+                    r.attempts += 1;
+                    if r.attempts >= 2 {
+                        r.phase = RingPhase::Send;
                     }
                 }
             }
             true
         }
-        RingPhase::Done => false,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{emit_document, gate_records, GateTolerances};
+
+    fn doc(records: &[ScaleRecord]) -> JsonValue {
+        emit_document(SCHEMA, true, records_section(records))
+    }
+
+    fn gate(current: &JsonValue, baseline: &JsonValue) -> Result<(), Vec<String>> {
+        gate_records(current, baseline, LATENCY_GATES, GateTolerances::default())
+    }
 
     #[test]
     fn small_flood_delivers_budget_without_staging() {
@@ -1201,27 +930,24 @@ mod tests {
             audit_skipped: None,
             migration_aborted: Some(false),
         };
-        let doc = emit_document(&[flood.clone(), migration.clone()], true);
-        let parsed = JsonValue::parse(&doc.to_string()).unwrap();
+        let parsed =
+            JsonValue::parse(&doc(&[flood.clone(), migration.clone()]).to_string()).unwrap();
         validate_document(&parsed).unwrap();
 
         // Schema violations are caught.
-        let missing_migration = emit_document(&[flood], true);
+        let missing_migration = doc(&[flood]);
         assert!(validate_document(&missing_migration).is_err());
         let mut broken = migration;
         broken.pause_ms = None;
-        let doc = emit_document(
-            &[
-                ScaleRecord {
-                    scenario: "all_pairs_flood",
-                    ..broken.clone()
-                },
-                broken,
-            ],
-            true,
-        );
+        let pauseless = doc(&[
+            ScaleRecord {
+                scenario: "all_pairs_flood",
+                ..broken.clone()
+            },
+            broken,
+        ]);
         assert!(
-            validate_document(&doc).is_err(),
+            validate_document(&pauseless).is_err(),
             "pause-less migration record"
         );
         assert!(validate_document(&JsonValue::parse("{}").unwrap()).is_err());
@@ -1247,32 +973,29 @@ mod tests {
             audit_skipped: None,
             migration_aborted: aborted,
         };
-        emit_document(&[rec], true)
+        doc(&[rec])
     }
 
     #[test]
     fn gate_passes_within_tolerance_and_fails_on_collapse() {
         let baseline = gate_fixture(100_000.0, 500.0, None);
-        let tol = GateTolerances::default();
         // Half the throughput, slightly worse tail: inside tolerance.
-        assert!(gate_document(&gate_fixture(50_000.0, 800.0, None), &baseline, tol).is_ok());
+        assert!(gate(&gate_fixture(50_000.0, 800.0, None), &baseline).is_ok());
         // Throughput collapse: gated.
-        let errs = gate_document(&gate_fixture(1_000.0, 500.0, None), &baseline, tol).unwrap_err();
+        let errs = gate(&gate_fixture(1_000.0, 500.0, None), &baseline).unwrap_err();
         assert!(errs[0].contains("throughput"), "{errs:?}");
         // Latency blow-up: gated.
-        let errs =
-            gate_document(&gate_fixture(100_000.0, 50_000.0, None), &baseline, tol).unwrap_err();
+        let errs = gate(&gate_fixture(100_000.0, 50_000.0, None), &baseline).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("p99")), "{errs:?}");
         // A reported migration abort is gated even with healthy numbers.
-        let errs =
-            gate_document(&gate_fixture(100_000.0, 500.0, Some(true)), &baseline, tol).unwrap_err();
+        let errs = gate(&gate_fixture(100_000.0, 500.0, Some(true)), &baseline).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("aborted")), "{errs:?}");
     }
 
     #[test]
     fn gate_requires_a_common_record() {
         let baseline = gate_fixture(100_000.0, 500.0, None);
-        let mut other = ScaleRecord {
+        let other = ScaleRecord {
             scenario: "migration_under_load",
             transport: "tcp",
             ranks: 64,
@@ -1291,23 +1014,6 @@ mod tests {
             audit_skipped: None,
             migration_aborted: Some(false),
         };
-        let current = emit_document(std::slice::from_ref(&other), true);
-        assert!(gate_document(&current, &baseline, GateTolerances::default()).is_err());
-        // A baseline predating the transport field still matches an
-        // inproc record: the key defaults missing transports.
-        other.scenario = "all_pairs_flood";
-        other.transport = "inproc";
-        other.ranks = 256;
-        other.msgs_per_sec = 90_000.0;
-        let current = emit_document(&[other], true);
-        let stripped = baseline
-            .to_string()
-            .replace("\"transport\":\"inproc\",", "");
-        assert!(
-            stripped.len() < baseline.to_string().len(),
-            "field stripped"
-        );
-        let baseline_old = JsonValue::parse(&stripped).unwrap();
-        assert!(gate_document(&current, &baseline_old, GateTolerances::default()).is_ok());
+        assert!(gate(&doc(&[other]), &baseline).is_err());
     }
 }

@@ -33,7 +33,7 @@ use snow_baselines::{
     broadcast::run_broadcast_load, cocheck::run_cocheck_load, forwarding::run_forwarding_load,
     snow_reference_metrics, LoadSamples, Offered,
 };
-use snow_core::{Computation, MigrationOutcome, SnowProcess, Start};
+use snow_core::{Computation, Start};
 use snow_net::TimeScale;
 use snow_state::{fnv1a_with_seed, ExecState, MemoryGraph, ProcessState, FNV_OFFSET};
 use snow_trace::report::JsonValue;
@@ -46,7 +46,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::hist::LatencyHistogram;
-use crate::scale::TransportKind;
+use crate::pool::{
+    default_workers, finish_and_retire, migrate_on_worker, migrate_retrying_once, run_pool, Drive,
+};
+use crate::schema::{non_negative, validate_records, LatencyGate, TransportKind};
 
 /// Schema tag stamped into every emitted document.
 pub const SCHEMA: &str = "snow-bench-workload/v1";
@@ -332,13 +335,6 @@ impl SoakConfig {
     }
 }
 
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get() / 2)
-        .unwrap_or(4)
-        .clamp(2, 8)
-}
-
 /// Phase indices for the live classifier.
 const PRE: usize = 0;
 const DURING: usize = 1;
@@ -405,27 +401,25 @@ impl WorkShared {
     }
 }
 
-/// One soak rank multiplexed onto the worker pool.
-struct WorkDrive {
-    p: Option<SnowProcess>,
-    rank: usize,
+/// A soak rank's state between worker visits.
+struct WorkRank {
     next: usize,
     recvd: u64,
     expected: u64,
     local: [LatencyHistogram; 3],
     lanes: BTreeMap<usize, u64>,
-    done: bool,
 }
 
 /// Advance one rank by one cooperative step; returns whether progress
 /// was made.
 fn step_work_rank(
-    d: &mut WorkDrive,
+    d: &mut Drive<WorkRank>,
     shared: &WorkShared,
     vm: &snow_vm::VirtualMachine,
     arrivals: &[Arrival],
 ) -> bool {
     let me = d.rank;
+    let w = &mut d.app;
     let mut progressed = false;
     let p = d.p.as_mut().expect("live rank has a process");
 
@@ -438,8 +432,8 @@ fn step_work_rank(
             .unwrap_or_else(|e| panic!("rank {me}: recv failed: {e}"))
         {
             Some((src, _tag, b)) => {
-                shared.record_recv(&mut d.local, &mut d.lanes, src, &b);
-                d.recvd += 1;
+                shared.record_recv(&mut w.local, &mut w.lanes, src, &b);
+                w.recvd += 1;
                 progressed = true;
             }
             None => break,
@@ -449,8 +443,8 @@ fn step_work_rank(
     // Emit everything the schedule says is due. Open loop: a late send
     // keeps its original stamp, so backlog shows up as latency.
     let now = shared.now_ns();
-    while d.next < arrivals.len() && arrivals[d.next].at_ns <= now {
-        let a = &arrivals[d.next];
+    while w.next < arrivals.len() && arrivals[w.next].at_ns <= now {
+        let a = &arrivals[w.next];
         let mut buf = vec![0u8; a.bytes as usize];
         buf[..8].copy_from_slice(&a.at_ns.to_le_bytes());
         let sent = p
@@ -459,64 +453,50 @@ fn step_work_rank(
         if !sent {
             break;
         }
-        d.next += 1;
+        w.next += 1;
         progressed = true;
     }
 
-    // Service a pending migration request: run the blocking migrate on
-    // this worker, with the bench-side lane hashes parked in the side
-    // table for the resumed incarnation.
+    // Service a pending migration request on this worker, with the
+    // bench-side lane hashes parked in the side table for the resumed
+    // incarnation.
     if p.poll_point()
         .unwrap_or_else(|e| panic!("rank {me}: poll failed: {e}"))
     {
-        let p = d.p.take().expect("live rank has a process");
-        let old_vmid = p.vmid();
-        shared.commit(usize::MAX, &mut d.local, BTreeMap::new()); // merge hists only
+        shared.commit(usize::MAX, &mut w.local, BTreeMap::new()); // merge hists only
         shared.side.lock().unwrap().insert(
             me,
             SideState {
-                lanes: std::mem::take(&mut d.lanes),
+                lanes: std::mem::take(&mut w.lanes),
             },
         );
         let state = ProcessState::new(
             ExecState::at_entry()
-                .with_local("next", snow_codec::Value::U64(d.next as u64))
-                .with_local("recvd", snow_codec::Value::U64(d.recvd)),
+                .with_local("next", snow_codec::Value::U64(w.next as u64))
+                .with_local("recvd", snow_codec::Value::U64(w.recvd)),
             MemoryGraph::new(),
         );
-        match p
-            .migrate(&state)
-            .unwrap_or_else(|e| panic!("rank {me}: migrate failed: {e}"))
-        {
-            MigrationOutcome::Completed(_) => {
-                vm.retire(old_vmid);
-                d.done = true;
-            }
-            MigrationOutcome::Aborted(a) => {
-                // Rolled back in place: reclaim the parked lane hashes
-                // and keep serving from the pool.
-                d.p = Some(a.process);
-                d.lanes = shared
-                    .side
-                    .lock()
-                    .unwrap()
-                    .remove(&me)
-                    .map(|s| s.lanes)
-                    .unwrap_or_default();
-            }
+        let p = d.p.take().expect("live rank has a process");
+        if let Some(p) = migrate_on_worker(p, &state, vm) {
+            // Rolled back in place: reclaim the parked lane hashes and
+            // keep serving from the pool.
+            d.p = Some(p);
+            w.lanes = shared
+                .side
+                .lock()
+                .unwrap()
+                .remove(&me)
+                .map(|s| s.lanes)
+                .unwrap_or_default();
         }
         return true;
     }
 
     // Retire once the whole schedule was sent and everything expected
     // arrived.
-    if d.next == arrivals.len() && d.recvd == d.expected {
-        let p = d.p.take().expect("live rank has a process");
-        shared.commit(me, &mut d.local, std::mem::take(&mut d.lanes));
-        let vmid = p.vmid();
-        p.finish();
-        vm.retire(vmid);
-        d.done = true;
+    if w.next == arrivals.len() && w.recvd == w.expected {
+        shared.commit(me, &mut w.local, std::mem::take(&mut w.lanes));
+        finish_and_retire(d.p.take().expect("live rank has a process"), vm);
         return true;
     }
     progressed
@@ -734,12 +714,13 @@ pub fn run_workload(cfg: &SoakConfig) -> WorkloadRecord {
         p.finish();
     });
 
-    let mut drives: Vec<WorkDrive> = procs
-        .into_iter()
-        .enumerate()
-        .map(|(rank, p)| WorkDrive {
-            p: Some(p),
-            rank,
+    // Victims get a dedicated worker each (see `run_pool`): the hot
+    // migrant's peers — potentially every rank — must keep pumping on
+    // other threads while its worker blocks in `migrate`.
+    let vm = comp.vm();
+    let (pause_ms, migration_aborted) = run_pool(
+        procs,
+        |rank| WorkRank {
             next: 0,
             recvd: 0,
             expected: expected[rank],
@@ -749,78 +730,34 @@ pub fn run_workload(cfg: &SoakConfig) -> WorkloadRecord {
                 LatencyHistogram::new(),
             ],
             lanes: BTreeMap::new(),
-            done: false,
-        })
-        .collect();
-
-    // Victims get a dedicated worker each: the blocking `migrate` call
-    // parks its worker thread for the whole handshake, and the hot
-    // migrant's peers — potentially every rank — must keep pumping on
-    // other threads for the protocol to make progress.
-    let workers = cfg.workers.clamp(2, n);
-    let mut partitions: Vec<Vec<WorkDrive>> =
-        (0..workers + victims.len()).map(|_| Vec::new()).collect();
-    for d in drives.drain(..).rev() {
-        match victims.iter().position(|&v| v == d.rank) {
-            Some(k) => partitions[workers + k].push(d),
-            None => partitions[d.rank % workers].push(d),
-        }
-    }
-
-    let mut pause_ms = 0.0f64;
-    let mut migration_aborted = false;
-    std::thread::scope(|s| {
-        for mine in partitions.drain(..) {
-            let shared = Arc::clone(&shared);
-            let streams = Arc::clone(&streams);
-            let vm = comp.vm();
-            s.spawn(move || {
-                let mut mine = mine;
-                loop {
-                    let mut progressed = false;
-                    let mut live = 0usize;
-                    for d in &mut mine {
-                        if d.done {
-                            continue;
-                        }
-                        live += 1;
-                        progressed |= step_work_rank(d, &shared, vm, &streams[d.rank]);
-                    }
-                    if live == 0 {
-                        break;
-                    }
-                    if !progressed {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-
+        },
+        &victims,
+        cfg.workers,
+        |d| step_work_rank(d, &shared, vm, &streams[d.rank]),
         // Driver: fire the migrations across the middle of the soak
         // window while the pool keeps the traffic flowing.
-        for (k, &victim) in victims.iter().enumerate() {
-            let frac = if victims.len() == 1 {
-                0.4
-            } else {
-                0.25 + 0.45 * k as f64 / (victims.len() - 1) as f64
-            };
-            let target_ns = (horizon as f64 * frac) as u64;
-            while shared.now_ns() < target_ns {
-                std::thread::sleep(Duration::from_micros(500));
+        || {
+            let mut pause_ms = 0.0f64;
+            let mut migration_aborted = false;
+            for (k, &victim) in victims.iter().enumerate() {
+                let frac = if victims.len() == 1 {
+                    0.4
+                } else {
+                    0.25 + 0.45 * k as f64 / (victims.len() - 1) as f64
+                };
+                let target_ns = (horizon as f64 * frac) as u64;
+                while shared.now_ns() < target_ns {
+                    std::thread::sleep(Duration::from_micros(500));
+                }
+                shared.phase.store(DURING as u8, Ordering::Relaxed);
+                let t_pause = Instant::now();
+                migration_aborted |= migrate_retrying_once(&comp, victim, spares[k]);
+                pause_ms += t_pause.elapsed().as_secs_f64() * 1_000.0;
+                shared.phase.store(POST as u8, Ordering::Relaxed);
             }
-            shared.phase.store(DURING as u8, Ordering::Relaxed);
-            let t_pause = Instant::now();
-            // A scheduler-side abort under load is a legitimate outcome:
-            // retry once, then report instead of panicking.
-            let aborted = match comp.migrate(victim, spares[k]) {
-                Ok(_) => false,
-                Err(_) => comp.migrate(victim, spares[k]).is_err(),
-            };
-            pause_ms += t_pause.elapsed().as_secs_f64() * 1_000.0;
-            shared.phase.store(POST as u8, Ordering::Relaxed);
-            migration_aborted |= aborted;
-        }
-    });
+            (pause_ms, migration_aborted)
+        },
+    );
     comp.join_init_processes();
     let wall_s = t0.elapsed().as_secs_f64();
 
@@ -971,7 +908,8 @@ pub struct AblationRow {
 }
 
 impl AblationRow {
-    fn to_json(&self) -> JsonValue {
+    /// This row as a JSON object.
+    pub fn to_json(&self) -> JsonValue {
         let opt = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Num);
         JsonValue::Object(vec![
             ("strategy".into(), JsonValue::Str(self.strategy.into())),
@@ -1180,107 +1118,60 @@ impl WorkloadRecord {
     }
 }
 
-/// Wrap soak records and the ablation table into the full
+/// The `records` and `ablation` sections of a
 /// `snow-bench-workload/v1` document.
-pub fn emit_document(
+pub fn sections(
     records: &[WorkloadRecord],
     ablation: &[AblationRow],
-    smoke: bool,
-) -> JsonValue {
-    let created = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::Str(SCHEMA.into())),
-        ("created_unix".into(), JsonValue::Num(created as f64)),
-        ("smoke".into(), JsonValue::Bool(smoke)),
+) -> Vec<(&'static str, JsonValue)> {
+    vec![
         (
-            "records".into(),
+            "records",
             JsonValue::Array(records.iter().map(WorkloadRecord::to_json).collect()),
         ),
         (
-            "ablation".into(),
+            "ablation",
             JsonValue::Array(ablation.iter().map(AblationRow::to_json).collect()),
         ),
-    ])
+    ]
 }
 
 /// Validate a parsed `BENCH_workload.json` against the
-/// `snow-bench-workload/v1` schema: both transports present, every
-/// record carrying phase-sliced quantiles with a non-empty
-/// during-migration slice (when a migration fired), an explicit audit
-/// disposition, a well-formed digest — and an ablation table covering
-/// all four §7 strategies.
+/// `snow-bench-workload/v1` schema. On top of the shared frame
+/// ([`validate_records`]): both transports present, every record
+/// carrying phase-sliced quantiles with a non-empty during-migration
+/// slice (when a migration fired), an explicit audit disposition, a
+/// well-formed digest — and an ablation table covering all four §7
+/// strategies.
 pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing schema tag")?;
-    if schema != SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SCHEMA:?}"));
-    }
-    let records = doc
-        .get("records")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing records array")?;
-    if records.is_empty() {
-        return Err("records array is empty".into());
-    }
     let mut transports_seen = std::collections::BTreeSet::new();
-    for (i, rec) in records.iter().enumerate() {
-        let ctx = |field: &str| format!("record {i}: bad or missing {field}");
-        let scenario = rec
-            .get("scenario")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("scenario"))?;
+    validate_records(doc, SCHEMA, |r| {
+        let i = r.i;
+        let scenario = r.str("scenario")?;
         if scenario != "open_loop_soak" {
             return Err(format!("record {i}: unknown scenario {scenario:?}"));
         }
-        let transport = rec
-            .get("transport")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("transport"))?;
-        transports_seen.insert(transport.to_string());
-        let num = |field: &str| -> Result<f64, String> {
-            rec.get(field)
-                .and_then(JsonValue::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| ctx(field))
-        };
-        if num("ranks")? < 4.0 {
-            return Err(ctx("ranks"));
+        transports_seen.insert(r.str("transport")?.to_string());
+        if r.num("ranks")? < 4.0 {
+            return Err(r.bad("ranks"));
         }
-        if num("msgs")? < 1.0 {
-            return Err(ctx("msgs"));
-        }
-        if num("msgs_per_sec")? <= 0.0 {
-            return Err(ctx("msgs_per_sec"));
-        }
-        num("rate_hz")?;
-        num("duration_ms")?;
-        num("bytes_moved")?;
-        num("wall_s")?;
-        num("pause_ms")?;
-        let migrations = num("migrations")?;
-        let digest = rec
-            .get("digest")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| ctx("digest"))?;
+        r.num("rate_hz")?;
+        r.num("duration_ms")?;
+        r.num("pause_ms")?;
+        let migrations = r.num("migrations")?;
+        let digest = r.str("digest")?;
         if digest.len() != 16 || !digest.chars().all(|c| c.is_ascii_hexdigit()) {
             return Err(format!(
                 "record {i}: digest {digest:?} is not 16 hex digits"
             ));
         }
-        let phases = rec.get("phases").ok_or_else(|| ctx("phases"))?;
+        let phases = r.rec.get("phases").ok_or_else(|| r.bad("phases"))?;
         for name in ["pre", "during", "post"] {
             let ph = phases
                 .get(name)
                 .ok_or_else(|| format!("record {i}: missing phase {name:?}"))?;
             for field in ["count", "p50_us", "p99_us", "p999_us"] {
-                ph.get(field)
-                    .and_then(JsonValue::as_f64)
-                    .filter(|v| v.is_finite() && *v >= 0.0)
+                non_negative(ph, field)
                     .ok_or_else(|| format!("record {i}: phase {name}: bad {field}"))?;
             }
         }
@@ -1297,21 +1188,8 @@ pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
                 ));
             }
         }
-        // §4 audit status must be explicit, exactly one way.
-        let audited = rec
-            .get("audit_clean")
-            .and_then(JsonValue::as_bool)
-            .is_some();
-        let skipped = rec
-            .get("audit_skipped")
-            .and_then(JsonValue::as_str)
-            .is_some_and(|s| !s.is_empty());
-        if audited == skipped {
-            return Err(format!(
-                "record {i}: needs exactly one of audit_clean / audit_skipped"
-            ));
-        }
-    }
+        r.audit_disposition()
+    })?;
     for t in ["inproc", "tcp"] {
         if !transports_seen.contains(t) {
             return Err(format!("no record on transport {t:?}"));
@@ -1335,10 +1213,7 @@ pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
             "blocked_msgs",
             "state_bytes_moved",
         ] {
-            row.get(field)
-                .and_then(JsonValue::as_f64)
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .ok_or_else(|| format!("ablation {want}: bad {field}"))?;
+            non_negative(row, field).ok_or_else(|| format!("ablation {want}: bad {field}"))?;
         }
         row.get("residual_dependency")
             .and_then(JsonValue::as_bool)
@@ -1347,94 +1222,28 @@ pub fn validate_document(doc: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Latencies below this floor (µs) are never gated: single-digit-µs
-/// baselines only measure scheduler jitter.
-const GATE_LATENCY_FLOOR_US: f64 = 50.0;
-
-/// Gate a fresh `BENCH_workload.json` against the committed baseline:
-/// for every `(transport, ranks)` pair in both documents, throughput
-/// must not collapse and the **pre/post** p50 latencies must not
-/// balloon. The during-migration slice is deliberately not gated — its
-/// magnitude is the quantity under study and swings with machine load;
-/// regressions there surface through pause_ms and the p99 columns of
-/// the committed table instead. Audit violations and aborted
-/// migrations always gate.
-pub fn gate_document(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    tol: crate::scale::GateTolerances,
-) -> Result<(), Vec<String>> {
-    let records = |doc: &JsonValue| -> Vec<JsonValue> {
-        doc.get("records")
-            .and_then(JsonValue::as_array)
-            .map(|a| a.to_vec())
-            .unwrap_or_default()
-    };
-    let key = |rec: &JsonValue| -> Option<(String, u64)> {
-        Some((
-            rec.get("transport")?.as_str()?.to_string(),
-            rec.get("ranks")?.as_f64()? as u64,
-        ))
-    };
-    let base_recs = records(baseline);
-    let mut compared = 0usize;
-    let mut violations = Vec::new();
-    for cur in &records(current) {
-        let Some(k) = key(cur) else { continue };
-        let Some(base) = base_recs.iter().find(|b| key(b).as_ref() == Some(&k)) else {
-            continue;
-        };
-        compared += 1;
-        let tag = format!("open_loop_soak/{}@{}", k.0, k.1);
-        let num = |rec: &JsonValue, field: &str| rec.get(field).and_then(JsonValue::as_f64);
-        if let (Some(c), Some(b)) = (num(cur, "msgs_per_sec"), num(base, "msgs_per_sec")) {
-            let floor = b * tol.min_throughput_ratio;
-            if c < floor {
-                violations.push(format!(
-                    "{tag}: throughput {c:.0} msgs/s below gate {floor:.0} \
-                     (baseline {b:.0} × {:.2})",
-                    tol.min_throughput_ratio
-                ));
-            }
-        }
-        for phase in ["pre", "post"] {
-            let p50 = |rec: &JsonValue| {
-                rec.get("phases")?
-                    .get(phase)?
-                    .get("p50_us")
-                    .and_then(JsonValue::as_f64)
-            };
-            if let (Some(c), Some(b)) = (p50(cur), p50(base)) {
-                let ceil = (b * tol.max_latency_ratio).max(GATE_LATENCY_FLOOR_US);
-                if c > ceil {
-                    violations.push(format!(
-                        "{tag}: {phase} p50 {c:.1} µs above gate {ceil:.1} \
-                         (baseline {b:.1} × {:.2})",
-                        tol.max_latency_ratio
-                    ));
-                }
-            }
-        }
-        if cur.get("migration_aborted").and_then(JsonValue::as_bool) == Some(true) {
-            violations.push(format!("{tag}: migration aborted after retry"));
-        }
-        if cur.get("audit_clean").and_then(JsonValue::as_bool) == Some(false) {
-            violations.push(format!("{tag}: §4 audit violation"));
-        }
-    }
-    if compared == 0 {
-        violations.push("no (transport, ranks) pair is common to both documents".into());
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
+/// The latencies the regression gate checks on every soak record: the
+/// **pre/post** p50s. The during-migration slice is deliberately not
+/// gated — its magnitude is the quantity under study and swings with
+/// machine load; regressions there surface through pause_ms and the
+/// p99 columns of the committed table instead.
+pub const LATENCY_GATES: &[LatencyGate] = &[
+    ("pre p50", &["phases", "pre", "p50_us"]),
+    ("post p50", &["phases", "post", "p50_us"]),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{emit_document, gate_records};
+
+    fn doc(records: &[WorkloadRecord], ablation: &[AblationRow]) -> JsonValue {
+        emit_document(SCHEMA, true, sections(records, ablation))
+    }
+
+    fn gate(current: &JsonValue, baseline: &JsonValue) -> Result<(), Vec<String>> {
+        gate_records(current, baseline, LATENCY_GATES, Default::default())
+    }
 
     fn small_gen() -> GenConfig {
         GenConfig {
@@ -1656,41 +1465,40 @@ mod tests {
     fn document_roundtrip_validates_and_catches_violations() {
         let records = [sample_record("inproc"), sample_record("tcp")];
         let ablation = sample_ablation();
-        let doc = emit_document(&records, &ablation, true);
-        let parsed = JsonValue::parse(&doc.to_string()).unwrap();
+        let parsed = JsonValue::parse(&doc(&records, &ablation).to_string()).unwrap();
         validate_document(&parsed).unwrap();
 
         // Missing a transport.
-        let one = emit_document(&records[..1], &ablation, true);
+        let one = doc(&records[..1], &ablation);
         assert!(validate_document(&one).is_err());
 
         // Empty during slice with a migration fired.
         let mut broken = sample_record("tcp");
         broken.during = PhaseStats::default();
-        let doc = emit_document(&[sample_record("inproc"), broken], &ablation, true);
-        assert!(validate_document(&doc).unwrap_err().contains("during"));
+        let bad = doc(&[sample_record("inproc"), broken], &ablation);
+        assert!(validate_document(&bad).unwrap_err().contains("during"));
 
         // Ablation missing a strategy.
-        let doc = emit_document(&records, &ablation[..3], true);
-        assert!(validate_document(&doc).unwrap_err().contains("cocheck"));
+        let bad = doc(&records, &ablation[..3]);
+        assert!(validate_document(&bad).unwrap_err().contains("cocheck"));
 
         // Both audit fields set.
         let mut broken = sample_record("tcp");
         broken.audit_clean = Some(true);
-        let doc = emit_document(&[sample_record("inproc"), broken], &ablation, true);
-        assert!(validate_document(&doc).unwrap_err().contains("audit"));
+        let bad = doc(&[sample_record("inproc"), broken], &ablation);
+        assert!(validate_document(&bad).unwrap_err().contains("audit"));
     }
 
     #[test]
     fn gate_flags_collapse_and_passes_noise() {
         let records = [sample_record("inproc"), sample_record("tcp")];
-        let base = emit_document(&records, &sample_ablation(), false);
+        let base = doc(&records, &sample_ablation());
 
         let mut slow = sample_record("inproc");
         slow.msgs_per_sec = 1_000.0; // < 0.2 × baseline
         slow.post.p50_us = 1_000.0; // > 5 × baseline (and > floor)
-        let cur = emit_document(&[slow, sample_record("tcp")], &sample_ablation(), false);
-        let violations = gate_document(&cur, &base, Default::default()).unwrap_err();
+        let cur = doc(&[slow, sample_record("tcp")], &sample_ablation());
+        let violations = gate(&cur, &base).unwrap_err();
         assert!(violations.iter().any(|v| v.contains("throughput")));
         assert!(violations.iter().any(|v| v.contains("post p50")));
 
@@ -1699,18 +1507,14 @@ mod tests {
         let mut noisy = sample_record("inproc");
         noisy.pre.p50_us = 45.0; // > 5 × 20 but under the 50 µs floor
         noisy.during.p99_us = 500_000.0;
-        let cur = emit_document(&[noisy, sample_record("tcp")], &sample_ablation(), false);
-        gate_document(&cur, &base, Default::default()).unwrap();
+        let cur = doc(&[noisy, sample_record("tcp")], &sample_ablation());
+        gate(&cur, &base).unwrap();
 
         // Aborted migration always gates.
         let mut aborted = sample_record("tcp");
         aborted.migration_aborted = true;
-        let cur = emit_document(
-            &[sample_record("inproc"), aborted],
-            &sample_ablation(),
-            false,
-        );
-        assert!(gate_document(&cur, &base, Default::default()).is_err());
+        let cur = doc(&[sample_record("inproc"), aborted], &sample_ablation());
+        assert!(gate(&cur, &base).is_err());
     }
 
     #[test]

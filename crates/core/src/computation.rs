@@ -245,7 +245,7 @@ impl Computation {
                 &self.vm,
                 self.hosts[0],
                 image,
-                Box::new(IndexedDirectory::with_capacity(placement.len())),
+                IndexedDirectory::with_capacity(placement.len()),
                 self.sched_config.clone(),
             ));
         }
@@ -321,7 +321,7 @@ impl Computation {
                 &self.vm,
                 self.hosts[0],
                 image,
-                Box::new(IndexedDirectory::with_capacity(placement.len())),
+                IndexedDirectory::with_capacity(placement.len()),
                 self.sched_config.clone(),
             ));
         }

@@ -1,14 +1,12 @@
-//! Process-location directory backends.
+//! The process-location (PL) table.
 //!
 //! §2 of the paper: the lookup service "could have a centralized or
-//! distributed structure depending on the applications' needs" — DNS,
-//! LDAP, Chord and Globe are all cited as viable. The [`Directory`]
-//! trait captures the three operations the protocol needs; the default
-//! [`CentralTable`] is the paper's simple centralized server.
+//! distributed structure depending on the applications' needs". This
+//! reproduction ships one: a centralized, dense rank-indexed table
+//! ([`IndexedDirectory`]) owned by the scheduler.
 
 use snow_vm::wire::ExeStatus;
 use snow_vm::{Rank, Vmid};
-use std::collections::BTreeMap;
 
 /// One PL-table row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,61 +17,15 @@ pub struct PlEntry {
     pub status: ExeStatus,
 }
 
-/// Abstract process-location directory.
-pub trait Directory: Send {
-    /// Insert or overwrite a rank's entry.
-    fn insert(&mut self, rank: Rank, entry: PlEntry);
-    /// Look up a rank.
-    fn lookup(&self, rank: Rank) -> Option<PlEntry>;
-    /// All entries, ordered by rank (the PL table shipped to an
-    /// initialized process, Fig 7 line 6).
-    fn entries(&self) -> Vec<(Rank, PlEntry)>;
-    /// Number of known ranks.
-    fn len(&self) -> usize {
-        self.entries().len()
-    }
-    /// True when no rank is registered.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Centralized in-memory PL table (the paper's prototype scheduler).
-#[derive(Debug, Clone, Default)]
-pub struct CentralTable {
-    rows: BTreeMap<Rank, PlEntry>,
-}
-
-impl CentralTable {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Directory for CentralTable {
-    fn insert(&mut self, rank: Rank, entry: PlEntry) {
-        self.rows.insert(rank, entry);
-    }
-
-    fn lookup(&self, rank: Rank) -> Option<PlEntry> {
-        self.rows.get(&rank).copied()
-    }
-
-    fn entries(&self) -> Vec<(Rank, PlEntry)> {
-        self.rows.iter().map(|(r, e)| (*r, *e)).collect()
-    }
-}
-
 /// Dense rank-indexed PL table: O(1) lookup and insert.
 ///
 /// SNOW ranks are dense small integers assigned at launch (0..n), so a
 /// flat `Vec<Option<PlEntry>>` indexed by rank beats any tree or hash
-/// structure: a lookup is one bounds check and one array load. This is
-/// the default directory for the scheduler — at thousands of ranks the
-/// `CentralTable` BTreeMap's O(log n) pointer chase on *every* consult
-/// (each nacked sender consults the scheduler, Fig 8 line 4) shows up
-/// in the scale bench.
+/// structure: a lookup is one bounds check and one array load. At
+/// thousands of ranks a `BTreeMap`'s O(log n) pointer chase on *every*
+/// consult (each nacked sender consults the scheduler, Fig 8 line 4)
+/// shows up in the scale bench; `benches/post_office.rs` keeps that
+/// comparison.
 ///
 /// Degrades gracefully on sparse rank spaces: the vector grows to the
 /// largest rank seen, so pathological rank values waste memory, not
@@ -98,10 +50,9 @@ impl IndexedDirectory {
             live: 0,
         }
     }
-}
 
-impl Directory for IndexedDirectory {
-    fn insert(&mut self, rank: Rank, entry: PlEntry) {
+    /// Insert or overwrite a rank's entry.
+    pub fn insert(&mut self, rank: Rank, entry: PlEntry) {
         if rank >= self.rows.len() {
             self.rows.resize(rank + 1, None);
         }
@@ -110,11 +61,14 @@ impl Directory for IndexedDirectory {
         }
     }
 
-    fn lookup(&self, rank: Rank) -> Option<PlEntry> {
+    /// Look up a rank.
+    pub fn lookup(&self, rank: Rank) -> Option<PlEntry> {
         self.rows.get(rank).copied().flatten()
     }
 
-    fn entries(&self) -> Vec<(Rank, PlEntry)> {
+    /// All entries, ordered by rank (the PL table shipped to an
+    /// initialized process, Fig 7 line 6).
+    pub fn entries(&self) -> Vec<(Rank, PlEntry)> {
         self.rows
             .iter()
             .enumerate()
@@ -122,66 +76,14 @@ impl Directory for IndexedDirectory {
             .collect()
     }
 
-    fn len(&self) -> usize {
+    /// Number of known ranks.
+    pub fn len(&self) -> usize {
         self.live
     }
-}
 
-/// A two-level hierarchical directory: ranks are hashed into `fan`
-/// *domains*, each holding its own table — the shape of the DNS/LDAP-
-/// style deployments §2 suggests for multi-domain environments. Lookup
-/// cost is one domain hop plus one leaf access; the counters make that
-/// observable for scalability experiments.
-#[derive(Debug, Default)]
-pub struct TwoLevelDirectory {
-    domains: Vec<CentralTable>,
-    /// Accesses that touched the domain level.
-    pub domain_hops: std::cell::Cell<u64>,
-    /// Accesses that touched a leaf table.
-    pub leaf_hits: std::cell::Cell<u64>,
-}
-
-impl TwoLevelDirectory {
-    /// Create a directory with `fan` leaf domains.
-    pub fn new(fan: usize) -> Self {
-        assert!(fan >= 1, "at least one domain");
-        TwoLevelDirectory {
-            domains: vec![CentralTable::new(); fan],
-            domain_hops: std::cell::Cell::new(0),
-            leaf_hits: std::cell::Cell::new(0),
-        }
-    }
-
-    fn domain_of(&self, rank: Rank) -> usize {
-        // Knuth multiplicative hash keeps ranks spread over domains.
-        (rank.wrapping_mul(2654435761) >> 4) % self.domains.len()
-    }
-
-    /// Number of domains.
-    pub fn fan(&self) -> usize {
-        self.domains.len()
-    }
-}
-
-impl Directory for TwoLevelDirectory {
-    fn insert(&mut self, rank: Rank, entry: PlEntry) {
-        let d = self.domain_of(rank);
-        self.domain_hops.set(self.domain_hops.get() + 1);
-        self.leaf_hits.set(self.leaf_hits.get() + 1);
-        self.domains[d].insert(rank, entry);
-    }
-
-    fn lookup(&self, rank: Rank) -> Option<PlEntry> {
-        let d = self.domain_of(rank);
-        self.domain_hops.set(self.domain_hops.get() + 1);
-        self.leaf_hits.set(self.leaf_hits.get() + 1);
-        self.domains[d].lookup(rank)
-    }
-
-    fn entries(&self) -> Vec<(Rank, PlEntry)> {
-        let mut all: Vec<(Rank, PlEntry)> = self.domains.iter().flat_map(|d| d.entries()).collect();
-        all.sort_by_key(|(r, _)| *r);
-        all
+    /// True when no rank is registered.
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
     }
 }
 
@@ -189,6 +91,7 @@ impl Directory for TwoLevelDirectory {
 mod tests {
     use super::*;
     use snow_vm::HostId;
+    use std::collections::BTreeMap;
 
     fn vmid(h: u32, p: u32) -> Vmid {
         Vmid {
@@ -199,7 +102,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_overwrite() {
-        let mut t = CentralTable::new();
+        let mut t = IndexedDirectory::new();
         assert!(t.is_empty());
         t.insert(
             0,
@@ -224,7 +127,7 @@ mod tests {
 
     #[test]
     fn entries_ordered_by_rank() {
-        let mut t = CentralTable::new();
+        let mut t = IndexedDirectory::new();
         for r in [3usize, 1, 2, 0] {
             t.insert(
                 r,
@@ -240,14 +143,15 @@ mod tests {
 
     #[test]
     fn missing_rank_is_none() {
-        let t = CentralTable::new();
+        let t = IndexedDirectory::new();
         assert_eq!(t.lookup(9), None);
     }
 
     #[test]
     fn indexed_roundtrip_matches_central_table() {
+        // Reference: the paper's centralized table as a plain ordered map.
         let mut idx = IndexedDirectory::with_capacity(8);
-        let mut ct = CentralTable::new();
+        let mut reference: BTreeMap<Rank, PlEntry> = BTreeMap::new();
         assert!(idx.is_empty());
         for r in [5usize, 0, 3, 7, 3, 12] {
             let e = PlEntry {
@@ -255,12 +159,13 @@ mod tests {
                 status: ExeStatus::Running,
             };
             idx.insert(r, e);
-            ct.insert(r, e);
+            reference.insert(r, e);
         }
-        assert_eq!(idx.len(), ct.len());
-        assert_eq!(idx.entries(), ct.entries(), "same ordered snapshot");
+        assert_eq!(idx.len(), reference.len());
+        let want: Vec<(Rank, PlEntry)> = reference.iter().map(|(r, e)| (*r, *e)).collect();
+        assert_eq!(idx.entries(), want, "same ordered snapshot");
         for r in 0..16 {
-            assert_eq!(idx.lookup(r), ct.lookup(r), "rank {r}");
+            assert_eq!(idx.lookup(r), reference.get(&r).copied(), "rank {r}");
         }
     }
 
@@ -281,50 +186,5 @@ mod tests {
         assert_eq!(idx.lookup(4), Some(migrated));
         assert_eq!(idx.lookup(3), None, "holes stay empty");
         assert_eq!(idx.lookup(99), None, "out of range is None, not panic");
-    }
-
-    #[test]
-    fn two_level_roundtrip_and_ordering() {
-        let mut d = TwoLevelDirectory::new(4);
-        for r in (0..32).rev() {
-            d.insert(
-                r,
-                PlEntry {
-                    vmid: vmid(0, r as u32),
-                    status: ExeStatus::Running,
-                },
-            );
-        }
-        for r in 0..32 {
-            assert_eq!(d.lookup(r).unwrap().vmid, vmid(0, r as u32));
-        }
-        assert_eq!(d.lookup(99), None);
-        let ranks: Vec<Rank> = d.entries().iter().map(|(r, _)| *r).collect();
-        assert_eq!(ranks, (0..32).collect::<Vec<_>>());
-        assert!(d.domain_hops.get() >= 64, "accesses are counted");
-    }
-
-    #[test]
-    fn two_level_spreads_ranks() {
-        let mut d = TwoLevelDirectory::new(4);
-        for r in 0..64 {
-            d.insert(
-                r,
-                PlEntry {
-                    vmid: vmid(0, r as u32),
-                    status: ExeStatus::Running,
-                },
-            );
-        }
-        // Every domain should have received some ranks.
-        let per_domain: Vec<usize> = d.domains.iter().map(|t| t.len()).collect();
-        assert!(per_domain.iter().all(|&n| n > 0), "{per_domain:?}");
-        assert_eq!(per_domain.iter().sum::<usize>(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one domain")]
-    fn zero_fan_rejected() {
-        let _ = TwoLevelDirectory::new(0);
     }
 }

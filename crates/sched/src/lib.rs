@@ -5,9 +5,8 @@
 //! vmids, and (iii) coordinates migration on the source and destination
 //! computers. The paper uses a centralized scheduler "for the sake of
 //! simplicity" and notes any directory meeting the requirements works;
-//! we mirror that: the [`directory::Directory`] trait abstracts the PL
-//! store, with [`directory::IndexedDirectory`] (dense O(1) rank-indexed
-//! PL table) as the default backend.
+//! we ship one: a centralized, dense rank-indexed PL table
+//! ([`directory::IndexedDirectory`], O(1) per consult).
 //!
 //! The migration choreography (§2.2, §3.2.2):
 //!
@@ -34,10 +33,9 @@ pub mod records;
 pub mod scheduler;
 
 pub use client::{DrainReport, SchedClient};
-pub use directory::TwoLevelDirectory;
-pub use directory::{CentralTable, Directory, IndexedDirectory, PlEntry};
+pub use directory::{IndexedDirectory, PlEntry};
 pub use records::{MigrationPhase, MigrationRecord};
 pub use scheduler::{
-    spawn_scheduler, spawn_scheduler_with_config, spawn_scheduler_with_directory, ProcessImage,
-    RetryPolicy, SchedulerConfig, SchedulerHandle,
+    spawn_scheduler, spawn_scheduler_with_config, ProcessImage, RetryPolicy, SchedulerConfig,
+    SchedulerHandle,
 };

@@ -1,6 +1,6 @@
 //! The scheduler process: lookup service + migration choreography.
 
-use crate::directory::{Directory, IndexedDirectory, PlEntry};
+use crate::directory::{IndexedDirectory, PlEntry};
 use crate::records::{MigrationPhase, MigrationRecord, RecordStore};
 use snow_trace::{
     metrics::{DrainMetrics, SchedulerRuling},
@@ -168,7 +168,7 @@ struct DrainState {
 }
 
 struct SchedState {
-    dir: Box<dyn Directory>,
+    dir: IndexedDirectory,
     records: RecordStore,
     in_flight: HashMap<Rank, InFlight>,
     drains: HashMap<HostId, DrainState>,
@@ -867,35 +867,29 @@ fn record_ruling(cell: &ProcessCell, rank: Rank, action: &str, attempts: u32, ca
 }
 
 /// Spawn the scheduler on `host` and install it in the environment,
-/// using the default centralized PL table (dense rank-indexed, O(1)
-/// per consult — see [`IndexedDirectory`]).
+/// with an empty PL table ([`IndexedDirectory`]) and the default
+/// [`SchedulerConfig`].
 pub fn spawn_scheduler(vm: &VirtualMachine, host: HostId, image: ProcessImage) -> SchedulerHandle {
-    spawn_scheduler_with_directory(vm, host, image, Box::new(IndexedDirectory::new()))
-}
-
-/// Spawn the scheduler with a custom [`Directory`] backend (§2: any
-/// lookup service meeting the requirements works — centralized,
-/// hierarchical, or peer-to-peer).
-pub fn spawn_scheduler_with_directory(
-    vm: &VirtualMachine,
-    host: HostId,
-    image: ProcessImage,
-    dir: Box<dyn Directory>,
-) -> SchedulerHandle {
-    spawn_scheduler_with_config(vm, host, image, dir, SchedulerConfig::default())
+    spawn_scheduler_with_config(
+        vm,
+        host,
+        image,
+        IndexedDirectory::new(),
+        SchedulerConfig::default(),
+    )
 }
 
 /// How often the scheduler wakes from its inbox wait to sweep in-flight
 /// migration deadlines.
 const SWEEP_TICK: Duration = Duration::from_millis(50);
 
-/// Spawn the scheduler with a custom directory and explicit
+/// Spawn the scheduler with a pre-sized PL table and an explicit
 /// [`SchedulerConfig`] (retry policy + in-flight deadline).
 pub fn spawn_scheduler_with_config(
     vm: &VirtualMachine,
     host: HostId,
     image: ProcessImage,
-    dir: Box<dyn Directory>,
+    dir: IndexedDirectory,
     config: SchedulerConfig,
 ) -> SchedulerHandle {
     let records = RecordStore::new();
@@ -1192,7 +1186,7 @@ mod tests {
             &vm,
             h0,
             image,
-            Box::new(IndexedDirectory::new()),
+            IndexedDirectory::new(),
             SchedulerConfig {
                 retry: Some(RetryPolicy {
                     max_attempts: 3,
@@ -1265,7 +1259,7 @@ mod tests {
             &vm,
             h0,
             reapable_image(),
-            Box::new(IndexedDirectory::new()),
+            IndexedDirectory::new(),
             SchedulerConfig {
                 retry: None,
                 deadline: Some(Duration::from_millis(100)),
@@ -1395,7 +1389,7 @@ mod tests {
             &vm,
             h0,
             image,
-            Box::new(IndexedDirectory::new()),
+            IndexedDirectory::new(),
             SchedulerConfig {
                 retry: None,
                 deadline: Some(Duration::from_millis(200)),
@@ -1539,7 +1533,7 @@ mod tests {
             &vm,
             h0,
             reapable_image(),
-            Box::new(IndexedDirectory::new()),
+            IndexedDirectory::new(),
             SchedulerConfig {
                 retry: None,
                 deadline: Some(Duration::from_millis(300)),

@@ -7,7 +7,7 @@
 //! overlaps the three stages:
 //!
 //! * the memory graph is partitioned into size-bounded *chunks* of whole
-//!   nodes ([`plan_chunks`]);
+//!   nodes (`plan_chunks`);
 //! * a configurable worker pool encodes chunks concurrently
 //!   ([`stream_chunks`]), while the caller ships each finished chunk as
 //!   its own frame over the same FIFO channel — so encoding of chunk

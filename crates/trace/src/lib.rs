@@ -19,7 +19,7 @@
 //! * [`metrics`] — a per-migration metrics registry (phase latencies,
 //!   bytes moved, chunk counts, retry/abort causes, queue depths) hung
 //!   off the shared [`Tracer`], exported as JSONL plus a human summary.
-//! * [`audit`] — an online protocol-invariant auditor that checks the
+//! * [`audit`](mod@audit) — an online protocol-invariant auditor that checks the
 //!   paper's four guarantees (§4) against the ordered event log, both
 //!   in-process at test time and offline via `snow-bench audit`.
 //! * [`serial`] — typed JSONL (de)serialization of event logs for the

@@ -29,7 +29,7 @@ fn shard_index() -> usize {
 ///
 /// One `Tracer` is shared (via `Arc`) by every process thread, daemon and
 /// the scheduler of a virtual machine. Recording appends to one of
-/// [`EVENT_SHARDS`] mutex-protected vectors (chosen per thread), with a
+/// `EVENT_SHARDS` mutex-protected vectors (chosen per thread), with a
 /// global atomic sequence number preserving a dense total recording
 /// order; a disabled tracer short-circuits on a relaxed atomic load
 /// before touching the clock, the sequence or any lock.

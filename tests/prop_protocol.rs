@@ -445,7 +445,7 @@ proptest! {
 /// break.
 fn run_sharded_handover(senders: usize, msgs: u32, swap_at_frac: u8) -> Result<(), TestCaseError> {
     use snow::net::{FrameClass, LinkModel, TimeScale};
-    use snow::sched::{Directory, IndexedDirectory, PlEntry};
+    use snow::sched::{IndexedDirectory, PlEntry};
     use snow::vm::vm::{ProcAddr, Registry};
     use snow::vm::wire::{Envelope, ExeStatus, Incoming, Payload};
     use snow::vm::{HostId, Post, Vmid};

@@ -14,7 +14,7 @@
 //! Budgets are deliberately loose: CI machines are noisy, and the
 //! precise magnitudes live in `BENCH_workload.json`, gated separately.
 
-use snow_bench::scale::TransportKind;
+use snow_bench::schema::TransportKind;
 use snow_bench::workload::{run_workload, GenConfig, SoakConfig, WorkloadRecord};
 use snow_net::TimeScale;
 
