@@ -3,6 +3,10 @@
 //! (little-endian, ~0.14× speed, 10 Mbit Ethernet) and moves to a Sun
 //! Ultra 5 (big-endian, 1×, 100 Mbit). Rows: Coordinate / Collect / Tx /
 //! Restore / Migrate, averaged over 10 runs, >7.5 MB of state.
+//!
+//! Exits 1 unless the mean pipelined migration lies strictly between
+//! the Tx row (the wire bounds it from below) and the serial migrate
+//! row (overlap must beat the stage sum): `tx < pipelined < migrate`.
 
 use snow_core::Computation;
 use snow_mg::{mg_app_instrumented, MgConfig};
@@ -99,4 +103,18 @@ fn main() {
     std::fs::write("table2.json", &j).ok();
     println!("wrote table2.json");
     let _ = Tracer::disabled();
+
+    let mean = |row: &str| b.mean(row).expect("every row recorded");
+    let (tx, pipelined, serial) = (
+        mean("3 tx"),
+        mean("6 migrate (pipelined)"),
+        mean("5 migrate"),
+    );
+    if !(tx < pipelined && pipelined < serial) {
+        eprintln!(
+            "FAIL: expected tx < pipelined < migrate, got {tx:.3} / {pipelined:.3} / {serial:.3} s"
+        );
+        std::process::exit(1);
+    }
+    println!("check: tx {tx:.3} < pipelined {pipelined:.3} < migrate {serial:.3} s");
 }

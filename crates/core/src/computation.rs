@@ -18,7 +18,7 @@ use snow_sched::{
 use snow_state::{PipelineConfig, ProcessState, StateCostModel};
 use snow_trace::Tracer;
 use snow_vm::{HostId, HostSpec, Rank, VirtualMachine, Vmid};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// How an application invocation begins.
@@ -77,8 +77,10 @@ impl ComputationBuilder {
     }
 
     /// Override the chunked state-transfer configuration every process
-    /// uses when migrating ([`PipelineConfig::monolithic`] restores the
-    /// single-frame transfer the paper measures).
+    /// uses when migrating (chunk size, encoder workers, queue depth).
+    /// The state always travels as a chunk stream; the serial stage
+    /// sums the paper measures are reported alongside the pipelined
+    /// makespan in [`crate::MigrationTimings`].
     pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
         self.pipeline = cfg;
         self
@@ -211,75 +213,23 @@ impl Computation {
     }
 
     /// Launch one rank per entry of `placement` (rank i on
-    /// `placement[i]`).
+    /// `placement[i]`), each on its own OS thread. Every rank is
+    /// registered and holds the initial PL table before any body runs.
     pub fn launch_placed<F>(&self, placement: &[HostId], app: F) -> Vec<JoinHandle<()>>
     where
         F: Fn(SnowProcess, Start) + Send + Sync + 'static,
     {
-        let app: Arc<dyn Fn(SnowProcess, Start) + Send + Sync> = Arc::new(app);
-        let cost = self.cost;
-        let pipeline = self.pipeline.clone();
-
-        // The migration-enabled executable image (§2.2): initialize,
-        // then resume the application at its poll point.
+        let app = Arc::new(app);
         let image_app = Arc::clone(&app);
-        let image_pipeline = pipeline.clone();
-        let image: snow_sched::ProcessImage = Arc::new(move |cell, rank| {
-            // Every initialization failure is part of the abort
-            // protocol: the reap order, a rejected transfer
-            // (checksum/digest/protocol violation — the negative ack
-            // already went to the source), or the environment vanishing
-            // underneath (destination host removed). The source and the
-            // scheduler carry the outcome; a half-initialized process
-            // just stands down.
-            if let Ok((proc_, state, _restore_s)) =
-                initialize(cell, rank, cost, image_pipeline.clone())
-            {
-                image_app(proc_, Start::Resumed(state));
-            }
-        });
-        {
-            let mut slot = self.sched.lock().unwrap();
-            assert!(slot.is_none(), "launch may only be called once");
-            *slot = Some(spawn_scheduler_with_config(
-                &self.vm,
-                self.hosts[0],
-                image,
-                IndexedDirectory::with_capacity(placement.len()),
-                self.sched_config.clone(),
-            ));
-        }
-        let client = SchedClient::new(&self.vm);
-
-        // Gate processes until every rank is registered and the initial
-        // PL table (§2.1: stored in every process's memory) has been
-        // distributed, so first connections route directly; scheduler
-        // consultation is reserved for post-nack on-demand updates.
-        let gate = Arc::new(Barrier::new(placement.len() + 1));
-        let pl_table: Arc<Mutex<Vec<(Rank, Vmid)>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::with_capacity(placement.len());
-        for (rank, host) in placement.iter().enumerate() {
-            let app = Arc::clone(&app);
-            let gate = Arc::clone(&gate);
-            let pl_for_proc = Arc::clone(&pl_table);
-            let proc_pipeline = pipeline.clone();
-            let (vmid, handle) = self
-                .vm
-                .spawn(*host, &format!("p{rank}"), move |cell| {
-                    gate.wait();
-                    let mut proc_ = SnowProcess::fresh(cell, rank, cost);
-                    proc_.set_pipeline(proc_pipeline);
-                    proc_.install_pl(&pl_for_proc.lock().unwrap());
-                    app(proc_, Start::Fresh);
-                })
-                .expect("placement host is a member");
-            client.register(rank, vmid).expect("scheduler is running");
-            pl_table.lock().unwrap().push((rank, vmid));
-            handles.push(handle);
-        }
-        gate.wait();
-        *self.client.lock().unwrap() = Some(client);
-        handles
+        self.launch_cooperative(placement, move |p, start| image_app(p, start))
+            .into_iter()
+            .map(|p| {
+                let app = Arc::clone(&app);
+                let (vmid, label) = (p.vmid(), p.cell().label().to_string());
+                self.vm
+                    .run_on_thread(vmid, &label, move || app(p, Start::Fresh))
+            })
+            .collect()
     }
 
     /// Launch one rank per entry of `placement` *without* an OS thread
@@ -294,9 +244,8 @@ impl Computation {
     /// [`Computation::join_init_processes`]). Cooperatively driven
     /// ranks own their termination epilogue — end each with
     /// [`SnowProcess::finish`] followed by
-    /// [`snow_vm::VirtualMachine::retire`] of its vmid, the pair the
-    /// per-rank threads of [`Computation::launch_placed`] run
-    /// automatically.
+    /// [`snow_vm::VirtualMachine::retire`] of its vmid; the per-rank
+    /// threads of [`Computation::launch_placed`] retire automatically.
     pub fn launch_cooperative<F>(&self, placement: &[HostId], app: F) -> Vec<SnowProcess>
     where
         F: Fn(SnowProcess, Start) + Send + Sync + 'static,
@@ -305,9 +254,13 @@ impl Computation {
         let pipeline = self.pipeline.clone();
         let image_pipeline = pipeline.clone();
         let image: snow_sched::ProcessImage = Arc::new(move |cell, rank| {
-            // Same stand-down contract as `launch_placed`: any
-            // initialization failure is already carried by the abort
-            // protocol.
+            // Every initialization failure is part of the abort
+            // protocol: the reap order, a rejected transfer
+            // (checksum/digest/protocol violation — the negative ack
+            // already went to the source), or the environment vanishing
+            // underneath (destination host removed). The source and the
+            // scheduler carry the outcome; a half-initialized process
+            // just stands down.
             if let Ok((proc_, state, _restore_s)) =
                 initialize(cell, rank, cost, image_pipeline.clone())
             {
@@ -327,9 +280,11 @@ impl Computation {
         }
         let client = SchedClient::new(&self.vm);
 
-        // No barrier gate: nothing runs until the caller starts
-        // stepping, so registration and PL distribution complete
-        // before the first connect can fire.
+        // Nothing runs until the caller starts stepping (or threads
+        // them), so registration and the initial PL table (§2.1: stored
+        // in every process's memory) are in place before the first
+        // connect can fire: first connections route directly, and
+        // scheduler consultation is reserved for post-nack updates.
         let mut procs = Vec::with_capacity(placement.len());
         let mut pl_table: Vec<(Rank, Vmid)> = Vec::with_capacity(placement.len());
         for (rank, host) in placement.iter().enumerate() {

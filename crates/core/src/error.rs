@@ -21,9 +21,8 @@ pub enum ProtoError {
     /// indicates a peer died without coordination (outside the paper's
     /// failure model, reported rather than hanging).
     Watchdog(&'static str),
-    /// A peer violated the transfer protocol: malformed connection
-    /// grant, duplicate RML batch, or a monolithic state frame after a
-    /// chunk stream.
+    /// A peer violated the transfer protocol: a malformed connection
+    /// grant or a duplicate RML batch.
     Protocol(&'static str),
     /// The migration this process was the destination of was aborted by
     /// the source or the scheduler before commit; the initialized

@@ -90,13 +90,11 @@ pub(crate) enum Event {
     /// An `end_of_messages` marker from `rank` (meaningful during a
     /// migration drain).
     EndOfMessages(Rank),
-    /// The forwarded received-message-list (initialization only).
+    /// The forwarded received-message-list (initialization only; on a
+    /// migrating source a batch is a deposit return and goes straight
+    /// to the RML).
     StateBatch(Vec<Envelope>),
-    /// The canonical exe+mem state as one monolithic frame
-    /// (initialization only).
-    State(Bytes),
-    /// One chunk of a pipelined exe+mem state stream (initialization
-    /// only).
+    /// One chunk of the exe+mem state stream (initialization only).
     StateChunk {
         /// Position in the stream (0 = header chunk).
         seq: u32,
@@ -105,8 +103,7 @@ pub(crate) enum Event {
         /// The chunk's slice of the canonical state body.
         bytes: Bytes,
     },
-    /// The digest frame closing a pipelined state stream
-    /// (initialization only).
+    /// The digest frame closing the state stream (initialization only).
     StateDigest {
         /// Whole-body FNV-1a.
         digest: u64,
@@ -287,7 +284,10 @@ impl SnowProcess {
     /// * `peer_migrating` → close channel + `Closed_conn += 1`
     ///   (Fig 4 lines 12–14),
     /// * inbound `conn_req` → grant, or nack while migrating
-    ///   (Fig 4 lines 9–11 / Fig 5 line 4).
+    ///   (Fig 4 lines 9–11 / Fig 5 line 4),
+    /// * an RML batch while migrating → RML: on the source it can only
+    ///   be the deposits a failed destination returned, held for the
+    ///   retry or abort path.
     ///
     /// Returns `Ok(None)` on a tick timeout so callers can run liveness
     /// checks; errors with [`ProtoError::Watchdog`] via
@@ -324,8 +324,13 @@ impl SnowProcess {
                     self.trace(EventKind::EndOfMessages { peer: env.src });
                     Event::EndOfMessages(env.src)
                 }
+                Payload::RmlBatch(batch) if self.migrating => {
+                    for env in batch {
+                        self.rml.append(env);
+                    }
+                    Event::Data
+                }
                 Payload::RmlBatch(batch) => Event::StateBatch(batch),
-                Payload::ExeMemState(bytes) => Event::State(bytes),
                 Payload::ExeMemStateChunk {
                     seq,
                     checksum,
@@ -425,18 +430,26 @@ impl SnowProcess {
         }
     }
 
+    /// Build a protocol control frame (marker, RML batch, state chunk,
+    /// ack): a [`TAG_CTRL`] envelope from this rank with a fresh msg id,
+    /// ready to post, and its modeled wire size.
+    pub(crate) fn ctrl_frame(&self, payload: Payload) -> (Incoming, usize) {
+        let env = Envelope {
+            src: self.rank,
+            tag: TAG_CTRL,
+            msg: self.cell.tracer().next_msg_id(),
+            payload,
+        };
+        let bytes = env.wire_bytes();
+        (Incoming::Data(env), bytes)
+    }
+
     /// Close the channel toward `peer`, sending `end_of_messages` as the
     /// last message on it (§3.2.2).
     pub(crate) fn close_channel_to(&mut self, peer: Rank) {
         if let Some(tx) = self.cc.remove(&peer) {
-            let env = Envelope {
-                src: self.rank,
-                tag: TAG_CTRL,
-                msg: self.cell.tracer().next_msg_id(),
-                payload: Payload::EndOfMessages,
-            };
-            let bytes = env.wire_bytes();
-            let _ = tx.send(Incoming::Data(env), bytes);
+            let (frame, bytes) = self.ctrl_frame(Payload::EndOfMessages);
+            let _ = tx.send(frame, bytes);
             self.trace(EventKind::ChannelClose { peer });
         }
     }

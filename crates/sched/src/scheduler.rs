@@ -1292,10 +1292,16 @@ mod tests {
     }
 
     /// A stub image that completes the restore choreography: the
-    /// initialized process reports restore-complete, absorbs the PL
-    /// table, and commits.
+    /// initialized process waits for the source's go-ahead (the token
+    /// [`migrating_source`] signals once it has announced the start,
+    /// standing in for the state the real `initialize` waits for), then
+    /// reports restore-complete, absorbs the PL table, and commits.
     fn commit_image() -> ProcessImage {
         Arc::new(|cell: ProcessCell, rank: Rank| {
+            assert!(
+                cell.wait_signal(Duration::from_secs(30)).is_some(),
+                "source never handed over"
+            );
             cell.sched_send(SchedRequest::RestoreComplete {
                 rank,
                 new_vmid: cell.vmid(),
@@ -1312,7 +1318,8 @@ mod tests {
     }
 
     /// The source half of a successful migration: wait for the signal,
-    /// announce start, learn the destination, terminate (Fig 5 line 11).
+    /// announce start, learn the destination, hand it the go-ahead token
+    /// [`commit_image`] waits for, terminate (Fig 5 line 11).
     fn migrating_source(rank: Rank) -> impl FnOnce(ProcessCell) + Send + 'static {
         move |cell: ProcessCell| {
             assert_eq!(
@@ -1325,7 +1332,9 @@ mod tests {
             })
             .unwrap();
             match cell.recv_incoming().unwrap() {
-                Incoming::Ctrl(Ctrl::Sched(SchedReply::NewVmid { .. })) => {}
+                Incoming::Ctrl(Ctrl::Sched(SchedReply::NewVmid { new_vmid })) => {
+                    assert!(cell.send_signal(new_vmid, Signal::Migrate));
+                }
                 other => panic!("expected NewVmid, got {other:?}"),
             }
         }

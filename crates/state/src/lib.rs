@@ -18,13 +18,14 @@
 //!   canonical node indices so they can be re-materialised at different
 //!   addresses on the destination machine.
 //! * [`snapshot`] — [`snapshot::ProcessState`]: exec + memory bundled
-//!   with an integrity checksum; this is the `ExeMemState` payload.
+//!   with an integrity checksum — the reference encoding the chunk
+//!   stream reproduces byte for byte.
 //! * [`cost`] — the collect/transfer/restore cost model calibrated from
 //!   Tables 1–2 of the paper (Ultra 5 collects ~7.5 MB in 0.73 s, the
 //!   DEC 5000/120 in 5.209 s).
 //! * [`pipeline`] — chunked, worker-pool state collection and
 //!   incremental restore, so collect/transmit/restore overlap instead of
-//!   running strictly serially.
+//!   running strictly serially; this is how migration ships the state.
 
 #![warn(missing_docs)]
 
@@ -39,6 +40,6 @@ pub use exec::ExecState;
 pub use memory::{MemoryGraph, NodeId};
 pub use pipeline::{
     collect_chunks, pipelined_makespan, stream_chunks, ChunkStreamSummary, ChunkedRestorer,
-    PipelineConfig, RestoreTeardown, StateChunk,
+    PipelineConfig, PipelineSchedule, RestoreTeardown, StateChunk,
 };
 pub use snapshot::{fnv1a, fnv1a_with_seed, ProcessState, StateError, FNV_OFFSET};

@@ -1,9 +1,9 @@
-//! Pipelined, chunked exe+mem state transfer.
+//! Pipelined, chunked exe+mem state transfer — the only state-transfer
+//! path migration uses.
 //!
-//! The monolithic path ([`ProcessState::collect`]) encodes the whole
-//! state, then ships it as one frame: collect, transmit and restore run
-//! strictly one after another, which is exactly the serial sum the
-//! paper's Table 2 charges (Collect + Tx + Restore). This module
+//! The paper ships the collected state as one frame: collect, transmit
+//! and restore run strictly one after another, which is exactly the
+//! serial sum its Table 2 charges (Collect + Tx + Restore). This module
 //! overlaps the three stages:
 //!
 //! * the memory graph is partitioned into size-bounded *chunks* of whole
@@ -15,16 +15,16 @@
 //! * the destination feeds frames to a [`ChunkedRestorer`] that verifies
 //!   and decodes incrementally, overlapping restore with transmission.
 //!
-//! The byte stream is *identical* to the monolithic canonical body: the
+//! The byte stream is *identical* to the canonical body: the
 //! concatenation of all chunks equals [`ProcessState::collect_body`],
-//! and the incrementally folded FNV-1a digest equals the checksum a
-//! monolithic [`ProcessState::collect`] would store. Chunk order is
-//! deterministic (planned before encoding starts), so the encoding stays
-//! canonical regardless of worker count or scheduling.
+//! and the incrementally folded FNV-1a digest equals the checksum
+//! [`ProcessState::collect`] stores. Chunk order is deterministic
+//! (planned before encoding starts), so the encoding stays canonical
+//! regardless of worker count or scheduling.
 //!
-//! [`pipelined_makespan`] models the overlapped schedule so migration
-//! timings can report both the old serial-sum cost and the pipelined
-//! cost.
+//! [`PipelineSchedule`] models the overlapped schedule chunk by chunk,
+//! so migration timings report both the serial stage sums (the Table 2
+//! rows) and the pipelined makespan.
 
 use crate::snapshot::{fnv1a, fnv1a_with_seed, ProcessState, StateError, FNV_OFFSET};
 use crate::{ExecState, MemoryGraph, NodeId};
@@ -37,9 +37,8 @@ pub struct PipelineConfig {
     /// so a single node larger than this becomes its own oversized
     /// chunk. `usize::MAX` puts the entire memory section in one chunk.
     pub chunk_bytes: usize,
-    /// Encoder worker threads. `0` disables the pipeline entirely — the
-    /// migration path falls back to the monolithic single-frame
-    /// transfer.
+    /// Encoder worker threads; values below 1 act as 1 (sequential
+    /// encoding on the sending thread).
     pub workers: usize,
     /// Bound on the job and result queues between the planner, the
     /// workers and the sender — limits how far encoding may run ahead of
@@ -54,21 +53,6 @@ impl Default for PipelineConfig {
             workers: 4,
             queue_depth: 8,
         }
-    }
-}
-
-impl PipelineConfig {
-    /// The monolithic (pre-pipeline) single-frame transfer.
-    pub fn monolithic() -> Self {
-        PipelineConfig {
-            workers: 0,
-            ..PipelineConfig::default()
-        }
-    }
-
-    /// True when the monolithic path should be used instead.
-    pub fn is_monolithic(&self) -> bool {
-        self.workers == 0
     }
 }
 
@@ -500,12 +484,87 @@ pub struct RestoreTeardown {
     pub nodes_decoded: usize,
 }
 
-/// Modeled makespan of the overlapped pipeline, in seconds. Per-chunk
-/// stage costs flow through `workers` parallel encoders, one FIFO wire,
-/// and one restorer; chunk *i*'s transmission starts when both its
-/// encoding and the wire are done, its restore when both its arrival and
-/// the restorer are done. The serial-sum baseline this compares against
-/// is simply `collect_s.sum() + tx_s.sum() + restore_s.sum()`.
+/// The modeled schedule of one chunk stream: per-chunk stage costs flow
+/// through `workers` parallel encoders, one FIFO wire and one restorer.
+/// Chunk *i*'s transmission starts when both its encoding and the wire
+/// are done, its restore when both its arrival and the restorer are
+/// done. Alongside the makespan it keeps the plain stage sums — the
+/// serial (Table 2) Collect, Tx and Restore costs.
+#[derive(Debug)]
+pub struct PipelineSchedule {
+    worker_free: Vec<f64>,
+    wire_free: f64,
+    restore_free: f64,
+    collect_s: f64,
+    tx_s: f64,
+    restore_s: f64,
+}
+
+impl PipelineSchedule {
+    /// An empty schedule over `workers` encoders (values below 1 act
+    /// as 1).
+    pub fn new(workers: usize) -> Self {
+        PipelineSchedule {
+            worker_free: vec![0.0; workers.max(1)],
+            wire_free: 0.0,
+            restore_free: 0.0,
+            collect_s: 0.0,
+            tx_s: 0.0,
+            restore_s: 0.0,
+        }
+    }
+
+    /// Schedule the next chunk: its encoding goes to the least-loaded
+    /// encoder, then it queues for the wire, then for the restorer.
+    /// Returns the modeled time its encoding completes.
+    pub fn push(&mut self, collect_s: f64, tx_s: f64, restore_s: f64) -> f64 {
+        let w = (0..self.worker_free.len())
+            .min_by(|a, b| self.worker_free[*a].total_cmp(&self.worker_free[*b]))
+            .expect("at least one worker");
+        self.worker_free[w] += collect_s;
+        let encoded = self.worker_free[w];
+        // FIFO wire: chunks transmit in sequence order.
+        self.wire_free = encoded.max(self.wire_free) + tx_s;
+        self.restore_free = self.wire_free.max(self.restore_free) + restore_s;
+        self.collect_s += collect_s;
+        self.tx_s += tx_s;
+        self.restore_s += restore_s;
+        encoded
+    }
+
+    /// Schedule a wire-only frame (the closing digest) behind the
+    /// chunks already on the wire.
+    pub fn push_wire(&mut self, tx_s: f64) {
+        self.wire_free += tx_s;
+        self.tx_s += tx_s;
+    }
+
+    /// Modeled seconds until the last frame is off the wire and the
+    /// last chunk restored.
+    pub fn makespan(&self) -> f64 {
+        self.wire_free.max(self.restore_free)
+    }
+
+    /// Serial sum of the chunks' collect costs.
+    pub fn collect_s(&self) -> f64 {
+        self.collect_s
+    }
+
+    /// Serial sum of every frame's transmission cost.
+    pub fn tx_s(&self) -> f64 {
+        self.tx_s
+    }
+
+    /// Serial sum of the chunks' restore costs.
+    pub fn restore_s(&self) -> f64 {
+        self.restore_s
+    }
+}
+
+/// Modeled makespan of the overlapped pipeline, in seconds: the
+/// [`PipelineSchedule`] of chunks with these per-stage costs. The
+/// serial-sum baseline this compares against is simply
+/// `collect_s.sum() + tx_s.sum() + restore_s.sum()`.
 pub fn pipelined_makespan(
     collect_s: &[f64],
     tx_s: &[f64],
@@ -514,21 +573,11 @@ pub fn pipelined_makespan(
 ) -> f64 {
     assert_eq!(collect_s.len(), tx_s.len());
     assert_eq!(collect_s.len(), restore_s.len());
-    let workers = workers.max(1);
-    let mut worker_free = vec![0.0f64; workers];
-    let mut wire_free = 0.0f64;
-    let mut restore_free = 0.0f64;
-    for i in 0..collect_s.len() {
-        let w = (0..workers)
-            .min_by(|a, b| worker_free[*a].total_cmp(&worker_free[*b]))
-            .unwrap();
-        let encoded = worker_free[w] + collect_s[i];
-        worker_free[w] = encoded;
-        // FIFO wire: chunks transmit in sequence order.
-        wire_free = encoded.max(wire_free) + tx_s[i];
-        restore_free = wire_free.max(restore_free) + restore_s[i];
+    let mut schedule = PipelineSchedule::new(workers);
+    for ((c, t), r) in collect_s.iter().zip(tx_s).zip(restore_s) {
+        schedule.push(*c, *t, *r);
     }
-    restore_free
+    schedule.makespan()
 }
 
 #[cfg(test)]

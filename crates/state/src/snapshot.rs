@@ -108,7 +108,7 @@ pub fn fnv1a_with_seed(seed: u64, bytes: &[u8]) -> u64 {
 }
 
 /// A process's execution + memory state: the opaque payload of the
-/// `ExeMemState` envelope (Fig 5 line 10 → Fig 7 line 4).
+/// `ExeMemStateChunk` stream (Fig 5 line 10 → Fig 7 line 4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessState {
     /// Where to resume.
@@ -170,9 +170,7 @@ impl ProcessState {
     }
 
     /// Check the integrity checksum of collected bytes without decoding
-    /// the body. The destination of a monolithic transfer acks on this
-    /// before the commit handshake; the full decode still happens after
-    /// commit, as in the paper.
+    /// the body.
     pub fn verify(bytes: &[u8]) -> Result<(), StateError> {
         let mut r = WireReader::new(bytes);
         let expected = r.get_u64()?;

@@ -31,7 +31,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod audit;
 pub mod event;
 pub mod metrics;
@@ -41,7 +40,6 @@ pub mod serial;
 pub mod spacetime;
 pub mod tracer;
 
-pub use analysis::{events_to_json, lane_stats, lane_table, LaneStats};
 pub use audit::{assert_clean, audit, AuditReport, Auditor, Violation};
 pub use event::{Event, EventKind, MsgId};
 pub use metrics::{

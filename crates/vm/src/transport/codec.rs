@@ -84,10 +84,8 @@ fn put_payload(w: &mut WireWriter, v: &dyn SenderVault, p: &Payload) {
                 put_envelope(w, v, e);
             }
         }
-        Payload::ExeMemState(b) => {
-            w.put_u8(4);
-            w.put_bytes(b);
-        }
+        // Tag 4 stays unassigned (a retired single-frame state payload),
+        // so a frame carrying it decodes as `BadTag`.
         Payload::ExeMemStateChunk {
             seq,
             checksum,
@@ -131,7 +129,6 @@ fn get_payload(r: &mut WireReader, v: &dyn SenderVault) -> Result<Payload> {
             }
             Payload::RmlBatch(list)
         }
-        4 => Payload::ExeMemState(Bytes::copy_from_slice(r.get_bytes()?)),
         5 => Payload::ExeMemStateChunk {
             seq: r.get_u32()?,
             checksum: r.get_u64()?,
@@ -976,6 +973,21 @@ mod tests {
         assert!(matches!(
             decode_incoming(&v, &[0xfe]),
             Err(CodecError::BadTag(0xfe))
+        ));
+        // Payload tag 4 (the retired single-frame state) no longer decodes.
+        let mut bytes = encode_incoming(
+            &v,
+            &Incoming::Data(Envelope {
+                src: 0,
+                tag: 0,
+                msg: MsgId(1),
+                payload: Payload::PeerMigrating,
+            }),
+        );
+        *bytes.last_mut().unwrap() = 4;
+        assert!(matches!(
+            decode_incoming(&v, &bytes),
+            Err(CodecError::BadTag(4))
         ));
     }
 }

@@ -350,36 +350,25 @@ impl VirtualMachine {
     where
         F: FnOnce(ProcessCell) + Send + 'static,
     {
-        let vmid = self.allocate_vmid(host)?;
-        let (inbox_tx, inbox) = Post::<Incoming>::channel(LinkModel::INSTANT, self.shared.scale);
-        let (sig_tx, sig_rx) = channel::unbounded();
-        self.shared.registry.register(
-            vmid,
-            ProcAddr {
-                inbox: inbox_tx.clone(),
-                signals: sig_tx,
-                host,
-                label: label.to_string(),
-            },
-        );
-        let shared = Arc::clone(&self.shared);
-        let label = label.to_string();
-        let thread_label = label.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("snow-{thread_label}"))
+        let (vmid, cell) = self.spawn_cell(host, label)?;
+        Some((vmid, self.run_on_thread(vmid, label, move || body(cell))))
+    }
+
+    /// Run the body of the process `vmid` (assembled by
+    /// [`VirtualMachine::spawn_cell`]) on its own OS thread named
+    /// `snow-{label}`, then [`VirtualMachine::retire`] the vmid.
+    pub fn run_on_thread<F>(&self, vmid: Vmid, label: &str, body: F) -> JoinHandle<()>
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        let vm = self.clone();
+        std::thread::Builder::new()
+            .name(format!("snow-{label}"))
             .spawn(move || {
-                let cell =
-                    ProcessCell::new(vmid, label.clone(), inbox, inbox_tx, sig_rx, shared.clone());
-                body(cell);
-                // Termination: unregister, then tell the local daemon so
-                // pending conn_reqs are nacked.
-                shared.registry.unregister(vmid);
-                if let Some(d) = shared.daemon(vmid.host) {
-                    d.send(DaemonMsg::ProcessExited(vmid));
-                }
+                body();
+                vm.retire(vmid);
             })
-            .expect("spawn process thread");
-        Some((vmid, handle))
+            .expect("spawn process thread")
     }
 
     /// Assemble a process on `host` without dedicating an OS thread to
@@ -390,7 +379,7 @@ impl VirtualMachine {
     /// termination epilogue: when the process is done (or its vmid is
     /// retired by a completed migration), pass the vmid to
     /// [`VirtualMachine::retire`], which is exactly what
-    /// [`VirtualMachine::spawn`] does when its body returns.
+    /// [`VirtualMachine::run_on_thread`] does when its body returns.
     pub fn spawn_cell(&self, host: HostId, label: &str) -> Option<(Vmid, ProcessCell)> {
         let vmid = self.allocate_vmid(host)?;
         let (inbox_tx, inbox) = Post::<Incoming>::channel(LinkModel::INSTANT, self.shared.scale);
@@ -415,10 +404,8 @@ impl VirtualMachine {
         Some((vmid, cell))
     }
 
-    /// Termination epilogue for a cooperatively driven process (the
-    /// counterpart of what [`VirtualMachine::spawn`] runs when its body
-    /// returns): unregister, then tell the local daemon so pending
-    /// conn_reqs are nacked.
+    /// Termination epilogue of a process: unregister, then tell the
+    /// local daemon so pending conn_reqs are nacked.
     pub fn retire(&self, vmid: Vmid) {
         self.shared.registry.unregister(vmid);
         if let Some(d) = self.shared.daemon(vmid.host) {

@@ -9,6 +9,9 @@ mod support;
 
 use bytes::Bytes;
 use snow::prelude::*;
+use snow::state::{collect_chunks, PipelineSchedule};
+use snow::trace::MsgId;
+use snow::vm::{Envelope, Payload};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -153,21 +156,24 @@ fn in_transit_messages_survive_fragmented_migration() {
 
 /// End-to-end acceptance: with >= 4 workers on the paper's
 /// bandwidth-limited 10 Mbit link, the pipelined modeled total beats
-/// the serial Table 2 sum, because collect/tx/restore overlap.
+/// the serial Table 2 sum, because collect/tx/restore overlap — and the
+/// timings the migration reports are exactly the shared
+/// [`PipelineSchedule`] of the chunks it shipped.
 #[test]
 fn pipelined_total_beats_serial_sum_end_to_end() {
     let tracer = Tracer::new();
+    let cfg = PipelineConfig {
+        chunk_bytes: 32 * 1024,
+        workers: 4,
+        queue_depth: 4,
+    };
     let comp = Computation::builder()
         .host(HostSpec::ultra5())
         .host(HostSpec::dec5000())
         .host(HostSpec::ultra5())
         .time_scale(TimeScale::MILLI)
         .tracer(tracer.clone())
-        .pipeline(PipelineConfig {
-            chunk_bytes: 32 * 1024,
-            workers: 4,
-            queue_depth: 4,
-        })
+        .pipeline(cfg.clone())
         .build();
     let dec = comp.hosts()[1];
     let ultra = comp.hosts()[2];
@@ -221,4 +227,52 @@ fn pipelined_total_beats_serial_sum_end_to_end() {
     let m = migs.iter().find(|m| m.rank == 0).expect("metrics recorded");
     assert!((m.pipelined_s - t.pipelined_modeled_s).abs() < 1e-9);
     assert_eq!(m.attempts, 1);
+
+    // The shipped schedule is the tested one: replay the same chunks,
+    // charged at the frame sizes the sender puts on the wire, through
+    // the shared schedule with the builder's cost model and the
+    // DEC → Ultra link.
+    let (chunks, summary) = collect_chunks(&padded_state(500_000), &cfg);
+    let frame_bytes = |payload| {
+        Envelope {
+            src: 0,
+            tag: -1,
+            msg: MsgId(0),
+            payload,
+        }
+        .wire_bytes()
+    };
+    let cost = StateCostModel::PAPER;
+    let link = comp.vm().shared().path(dec, ultra);
+    let mut schedule = PipelineSchedule::new(cfg.workers);
+    for c in &chunks {
+        schedule.push(
+            cost.collect_seconds(c.bytes.len(), HostSpec::dec5000().speed),
+            link.transfer_seconds(frame_bytes(Payload::ExeMemStateChunk {
+                seq: c.seq,
+                checksum: c.checksum,
+                bytes: Bytes::from(c.bytes.clone()),
+            })),
+            cost.restore_seconds(c.bytes.len(), HostSpec::ultra5().speed),
+        );
+    }
+    schedule.push_wire(
+        link.transfer_seconds(frame_bytes(Payload::ExeMemStateDigest {
+            digest: summary.digest,
+            chunks: summary.chunks,
+            total_bytes: summary.total_bytes as u64,
+        })),
+    );
+    assert_eq!(t.chunks, chunks.len());
+    for (what, replayed, shipped) in [
+        ("collect", schedule.collect_s(), t.collect_modeled_s),
+        ("tx", schedule.tx_s(), t.tx_modeled_s),
+        ("restore", schedule.restore_s(), t.restore_modeled_s),
+        ("pipelined", schedule.makespan(), t.pipelined_modeled_s),
+    ] {
+        assert!(
+            (replayed - shipped).abs() < 1e-12,
+            "{what}: replayed schedule {replayed} vs shipped {shipped}"
+        );
+    }
 }
